@@ -16,9 +16,6 @@
 // measured stage walls plus the structural metrics the paper's
 // explanation rests on: I/O calls, master-channel copies, and modeled
 // peak bytes/node (the OOM predictor).
-//
-// Also includes the DESIGN.md ablation: ApplyMT's per-thread result
-// vectors + prefix merge (Algorithm 1) vs direct pre-sized writes.
 #include "bench_util.hpp"
 #include "dassa/das/interferometry.hpp"
 
@@ -95,30 +92,5 @@ int main() {
                "duplication), reads blow up at 728 nodes (16x more I/O "
                "calls); HAEE completes everywhere, writes identical\n";
 
-  // --- ablation: Algorithm 1 merge vs direct writes ----------------------
-  bench::section(
-      "Ablation: ApplyMT per-thread vectors + prefix merge vs direct "
-      "writes");
-  const core::Array2D data(vca.shape(), vca.read_all());
-  const core::LocalBlock block = core::LocalBlock::whole(data);
-  const core::ScalarUdf udf = [](const core::Stencil& s) {
-    const double a = s.in_bounds(-1, 0) ? s(-1, 0) : s(0, 0);
-    const double b = s.in_bounds(1, 0) ? s(1, 0) : s(0, 0);
-    return (a + s(0, 0) + b) / 3.0;
-  };
-  ThreadPool pool(static_cast<std::size_t>(cores));
-  Table ab({"variant", "seconds"});
-  {
-    WallTimer timer;
-    const core::Array2D out = core::apply_cells_mt(block, udf, pool);
-    ab.row("alg1-prefix-merge", timer.seconds());
-    if (out.data.empty()) return 1;
-  }
-  {
-    WallTimer timer;
-    const core::Array2D out = core::apply_cells_mt_direct(block, udf, pool);
-    ab.row("direct-writes", timer.seconds());
-    if (out.data.empty()) return 1;
-  }
   return 0;
 }

@@ -1,13 +1,13 @@
 // DASSA common: fixed-size thread pool with parallel_for.
 //
-// HAEE's ApplyMT (paper Algorithm 1) uses OpenMP. In this reproduction
-// MiniMPI ranks are themselves threads, and nested `omp parallel`
-// regions launched from sibling rank-threads would contend for one
-// process-wide OpenMP runtime. ApplyMT therefore runs on this explicit
-// pool when executing inside a MiniMPI rank, and plain OpenMP remains
-// available for single-rank (node-local) execution. The pool reproduces
-// the same fork-join structure as `#pragma omp parallel for
-// schedule(static)`.
+// DASSA's one thread runtime. The paper's ApplyMT (Algorithm 1) uses
+// OpenMP; in this reproduction MiniMPI ranks are themselves threads,
+// and nested OpenMP parallel regions launched from sibling rank-threads
+// would contend for one process-wide OpenMP runtime. ApplyMT
+// (core::apply_cells / apply_rows) therefore forks and joins on this
+// explicit pool, inside a MiniMPI rank and on a single node alike.
+// parallel_for reproduces the fork-join structure of an OpenMP
+// static-schedule parallel for.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +53,7 @@ class ThreadPool {
 
   /// Static-schedule parallel for over [0, n): the range is split into
   /// size() contiguous chunks and `body(thread_index, begin, end)` runs
-  /// once per chunk, mirroring `omp for schedule(static)`. Blocks until
+  /// once per chunk, like an OpenMP static schedule. Blocks until
   /// all chunks complete. Exceptions thrown by `body` are rethrown on
   /// the calling thread (first one wins).
   void parallel_for(

@@ -1,23 +1,14 @@
 // ArrayUDF core: the Apply operator, B = Apply(A, f).
 //
-// Three execution backends of the same operator:
-//  * apply_cells_serial  -- reference sequential execution;
-//  * apply_cells_mt      -- ApplyMT, paper Algorithm 1, on DASSA's
-//                           explicit thread pool (per-thread result
-//                           vectors + prefix merge);
-//  * apply_cells_omp     -- ApplyMT verbatim with OpenMP pragmas, for
-//                           single-rank (node-local) execution where no
-//                           MiniMPI rank threads compete for the OpenMP
-//                           runtime.
-// Row-granularity variants run a UDF once per channel instead of once
-// per cell (Algorithm 3 operates per channel).
+// apply_cells runs a UDF once per cell; apply_rows runs it once per
+// channel (Algorithm 3 operates per channel). Both are ApplyMT, paper
+// Algorithm 1, on DASSA's one thread runtime (ThreadPool).
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "dassa/common/shape.hpp"
-#include "dassa/common/thread_pool.hpp"
 #include "dassa/core/array.hpp"
 #include "dassa/core/stencil.hpp"
 
@@ -49,40 +40,19 @@ struct LocalBlock {
   [[nodiscard]] std::size_t owned_rows() const { return owned_local.size(); }
 };
 
-/// Sequential Apply: one output value per owned cell.
-[[nodiscard]] Array2D apply_cells_serial(const LocalBlock& block,
-                                         const ScalarUdf& udf);
+/// Apply over every owned cell: one output value per cell, computed
+/// by ApplyMT (paper Algorithm 1) on `threads` threads. At one thread
+/// the cells run inline on the caller, which is the serial reference;
+/// above that, a ThreadPool built for the call splits the linearised
+/// cells statically and each thread writes its contiguous chunk
+/// straight into the output. Every cell is independent, so the output
+/// is identical at every thread count. `threads` must be >= 1.
+[[nodiscard]] Array2D apply_cells(const LocalBlock& block,
+                                  const ScalarUdf& udf, int threads);
 
-/// ApplyMT (Algorithm 1) on an explicit thread pool: the linearised
-/// owned cells are split statically across pool threads; each thread
-/// appends into its private result vector; results are merged into the
-/// output at prefix offsets.
-[[nodiscard]] Array2D apply_cells_mt(const LocalBlock& block,
-                                     const ScalarUdf& udf, ThreadPool& pool);
-
-/// ApplyMT via OpenMP, for single-rank execution. `threads` <= 0 uses
-/// the OpenMP default.
-[[nodiscard]] Array2D apply_cells_omp(const LocalBlock& block,
-                                      const ScalarUdf& udf, int threads);
-
-/// Ablation variant of apply_cells_mt: threads write straight into the
-/// pre-sized output instead of staging per-thread vectors (benched in
-/// bench_fig8 as a design-choice ablation).
-[[nodiscard]] Array2D apply_cells_mt_direct(const LocalBlock& block,
-                                            const ScalarUdf& udf,
-                                            ThreadPool& pool);
-
-/// Sequential per-channel Apply. Output: owned_rows x L where L is the
-/// UDF's output length.
-[[nodiscard]] Array2D apply_rows_serial(const LocalBlock& block,
-                                        const RowUdf& udf);
-
-/// ApplyMT per channel on an explicit thread pool.
-[[nodiscard]] Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
-                                    ThreadPool& pool);
-
-/// ApplyMT per channel via OpenMP (single-rank execution).
-[[nodiscard]] Array2D apply_rows_omp(const LocalBlock& block,
-                                     const RowUdf& udf, int threads);
+/// Apply once per owned channel, on `threads` threads as apply_cells.
+/// Output: owned_rows x L where L is the UDF's output length.
+[[nodiscard]] Array2D apply_rows(const LocalBlock& block, const RowUdf& udf,
+                                 int threads);
 
 }  // namespace dassa::core

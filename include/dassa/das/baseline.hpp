@@ -20,7 +20,7 @@
 //    nothing.
 //
 // DASSA's engine instead fuses the chain per channel and parallelises
-// across channels (apply_rows_omp), touching each channel once.
+// across channels (core::apply_rows), touching each channel once.
 #pragma once
 
 #include "dassa/common/timer.hpp"
@@ -43,9 +43,10 @@ struct BaselineReport {
     const core::Array2D& data, const InterferometryParams& params);
 
 /// Run the same pipeline DASSA-style (fused per channel, parallel
-/// across channels) with identical numerics, for Fig. 9's comparison.
+/// across channels on `threads` >= 1 threads) with identical numerics,
+/// for Fig. 9's comparison.
 [[nodiscard]] BaselineReport dassa_interferometry(
     const core::Array2D& data, const InterferometryParams& params,
-    int threads = 0);
+    int threads);
 
 }  // namespace dassa::das

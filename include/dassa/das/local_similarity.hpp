@@ -29,11 +29,11 @@ struct LocalSimilarityParams {
 [[nodiscard]] core::ScalarUdf make_local_similarity_udf(
     const LocalSimilarityParams& params);
 
-/// Single-node execution over an in-memory array with OpenMP threads
-/// (threads <= 0 uses the OpenMP default).
+/// Single-node execution over an in-memory array on `threads` (>= 1)
+/// threads of core::apply_cells.
 [[nodiscard]] core::Array2D local_similarity(const core::Array2D& data,
                                              const LocalSimilarityParams& p,
-                                             int threads = 0);
+                                             int threads);
 
 /// Distributed execution over a VCA through the HAEE engine. The
 /// engine's halo is overridden with the UDF's requirement.

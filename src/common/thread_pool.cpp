@@ -1,6 +1,5 @@
 #include "dassa/common/thread_pool.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "dassa/common/shape.hpp"
@@ -69,29 +68,31 @@ void ThreadPool::parallel_for(
   DASSA_CHECK(body != nullptr, "parallel_for needs a callable body");
   if (n == 0) return;
   const std::size_t chunks = size();
-  std::atomic<std::size_t> remaining{chunks};
+  // Guarded by done_mu.
+  std::size_t remaining = chunks;
   std::exception_ptr first_error;
-  Mutex error_mu;
   CondVar done_cv;
   Mutex done_mu;
 
   for (std::size_t t = 0; t < chunks; ++t) {
     submit([&, t] {
       const Range r = even_chunk(n, chunks, t);
+      std::exception_ptr error;
       try {
         if (r.size() > 0) body(t, r.begin, r.end);
       } catch (...) {
-        MutexLock lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mu);
-        done_cv.notify_all();
-      }
+      // Count down and notify under done_mu: the caller returns, and
+      // these locals die, as soon as it sees zero, so no chunk may
+      // touch them after its unlock.
+      MutexLock lock(done_mu);
+      if (error && !first_error) first_error = error;
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   MutexLock lock(done_mu);
-  while (remaining.load() != 0) done_cv.wait(lock);
+  while (remaining != 0) done_cv.wait(lock);
   if (first_error) std::rethrow_exception(first_error);
 }
 

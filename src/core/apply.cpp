@@ -1,10 +1,7 @@
 #include "dassa/core/apply.hpp"
 
-#include <omp.h>
-
-#include <cstring>
-
 #include "dassa/common/counters.hpp"
+#include "dassa/common/thread_pool.hpp"
 #include "dassa/common/trace.hpp"
 
 namespace dassa::core {
@@ -24,15 +21,30 @@ std::size_t owned_cell_count(const LocalBlock& block) {
   return block.owned_rows() * block.block_shape.cols;
 }
 
-void validate(const LocalBlock& block) {
+void validate(const LocalBlock& block, int threads) {
+  DASSA_CHECK(threads >= 1, "apply needs at least one thread");
   DASSA_CHECK(block.data.size() == block.block_shape.size(),
               "local block data does not match its shape");
   DASSA_CHECK(block.owned_local.end <= block.block_shape.rows,
               "owned range exceeds local block");
 }
 
-Array2D rows_from_results(const LocalBlock& block,
-                          std::vector<std::vector<double>>& results) {
+using ChunkBody =
+    std::function<void(std::size_t thread, std::size_t begin, std::size_t end)>;
+
+/// Algorithm 1's fork-join over [0, n) with a static schedule: one
+/// thread runs `body(0, 0, n)` inline; more run one contiguous chunk
+/// each on a pool built for the call.
+void fork_join(std::size_t n, int threads, const ChunkBody& body) {
+  if (threads == 1) {
+    body(0, 0, n);
+    return;
+  }
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  pool.parallel_for(n, body);
+}
+
+Array2D rows_from_results(const std::vector<std::vector<double>>& results) {
   const std::size_t rows = results.size();
   const std::size_t out_cols = rows == 0 ? 0 : results.front().size();
   Array2D out(Shape2D{rows, out_cols});
@@ -42,7 +54,6 @@ Array2D rows_from_results(const LocalBlock& block,
     std::copy(results[r].begin(), results[r].end(),
               out.data.begin() + static_cast<std::ptrdiff_t>(r * out_cols));
   }
-  (void)block;
   return out;
 }
 
@@ -51,9 +62,9 @@ Stencil row_stencil(const LocalBlock& block, std::size_t owned_row) {
                  block.owned_local.begin + owned_row, 0, block.global_shape);
 }
 
-// Telemetry progress hooks: one registry add per apply call (or per
-// pool chunk), so the sampler can tell a busy pipeline from a stalled
-// one without taxing the per-cell hot loop.
+// Telemetry progress hooks: one registry add per chunk, so the sampler
+// can tell a busy pipeline from a stalled one without taxing the
+// per-cell hot loop.
 void charge_cells(std::size_t n) {
   global_counters().add(counters::kTelemetryCellsProcessed,
                         static_cast<std::uint64_t>(n));
@@ -66,49 +77,17 @@ void charge_rows(std::size_t n) {
 
 }  // namespace
 
-Array2D apply_cells_serial(const LocalBlock& block, const ScalarUdf& udf) {
-  validate(block);
-  const std::size_t n = owned_cell_count(block);
-  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
-  for (std::size_t i = 0; i < n; ++i) {
-    out.data[i] = udf(stencil_at(block, i));
-  }
-  charge_cells(n);
-  return out;
-}
-
-Array2D apply_cells_mt(const LocalBlock& block, const ScalarUdf& udf,
-                       ThreadPool& pool) {
-  validate(block);
+Array2D apply_cells(const LocalBlock& block, const ScalarUdf& udf,
+                    int threads) {
+  validate(block, threads);
   const std::size_t n = owned_cell_count(block);
   Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
 
-  // Algorithm 1: split the linearised cells statically, run the UDF
-  // into a per-thread result vector Rp, then insert each Rp into R at
-  // its prefix offset. With a static schedule each thread's chunk is
-  // contiguous, so the prefix offset is the chunk start.
-  pool.parallel_for(n, [&](std::size_t /*thread*/, std::size_t begin,
-                           std::size_t end) {
+  // Each thread's chunk is contiguous, so Algorithm 1's prefix offset
+  // is the chunk start: writing R[begin:end] in place is its merge.
+  fork_join(n, threads, [&](std::size_t /*thread*/, std::size_t begin,
+                            std::size_t end) {
     DASSA_TRACE_SPAN("haee", "haee.apply_cells_chunk");
-    std::vector<double> rp;  // result vector per thread
-    rp.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      rp.push_back(udf(stencil_at(block, i)));
-    }
-    std::memcpy(out.data.data() + begin, rp.data(),
-                rp.size() * sizeof(double));  // R[p[h-1] : p[h]] = Rp
-    charge_cells(end - begin);
-  });
-  return out;
-}
-
-Array2D apply_cells_mt_direct(const LocalBlock& block, const ScalarUdf& udf,
-                              ThreadPool& pool) {
-  validate(block);
-  const std::size_t n = owned_cell_count(block);
-  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
-  pool.parallel_for(n, [&](std::size_t /*thread*/, std::size_t begin,
-                           std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       out.data[i] = udf(stencil_at(block, i));
     }
@@ -117,77 +96,18 @@ Array2D apply_cells_mt_direct(const LocalBlock& block, const ScalarUdf& udf,
   return out;
 }
 
-Array2D apply_cells_omp(const LocalBlock& block, const ScalarUdf& udf,
-                        int threads) {
-  validate(block);
-  const std::size_t n = owned_cell_count(block);
-  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
-
-  // Algorithm 1 verbatim, with OpenMP primitives: per-thread result
-  // vectors, a barrier, a single-thread prefix pass, then the merge.
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-  std::vector<std::vector<double>> rp(static_cast<std::size_t>(team));
-  std::vector<std::size_t> prefix(static_cast<std::size_t>(team) + 1, 0);
-
-#pragma omp parallel num_threads(team)
-  {
-    const std::size_t h = static_cast<std::size_t>(omp_get_thread_num());
-    auto& mine = rp[h];
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      mine.push_back(udf(stencil_at(block, static_cast<std::size_t>(i))));
-    }
-    prefix[h + 1] = mine.size();
-#pragma omp barrier
-#pragma omp single
-    for (std::size_t t = 1; t <= static_cast<std::size_t>(team); ++t) {
-      prefix[t] += prefix[t - 1];
-    }
-    std::memcpy(out.data.data() + prefix[h], mine.data(),
-                mine.size() * sizeof(double));
-  }
-  charge_cells(n);
-  return out;
-}
-
-Array2D apply_rows_serial(const LocalBlock& block, const RowUdf& udf) {
-  validate(block);
+Array2D apply_rows(const LocalBlock& block, const RowUdf& udf, int threads) {
+  validate(block, threads);
   std::vector<std::vector<double>> results(block.owned_rows());
-  for (std::size_t r = 0; r < results.size(); ++r) {
-    results[r] = udf(row_stencil(block, r));
-  }
-  charge_rows(results.size());
-  return rows_from_results(block, results);
-}
-
-Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
-                      ThreadPool& pool) {
-  validate(block);
-  std::vector<std::vector<double>> results(block.owned_rows());
-  pool.parallel_for(results.size(), [&](std::size_t /*thread*/,
-                                        std::size_t begin, std::size_t end) {
+  fork_join(results.size(), threads, [&](std::size_t /*thread*/,
+                                         std::size_t begin, std::size_t end) {
     DASSA_TRACE_SPAN("haee", "haee.apply_rows_chunk");
     for (std::size_t r = begin; r < end; ++r) {
       results[r] = udf(row_stencil(block, r));
     }
     charge_rows(end - begin);
   });
-  return rows_from_results(block, results);
-}
-
-Array2D apply_rows_omp(const LocalBlock& block, const RowUdf& udf,
-                       int threads) {
-  validate(block);
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-  std::vector<std::vector<double>> results(block.owned_rows());
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(results.size());
-       ++r) {
-    results[static_cast<std::size_t>(r)] =
-        udf(row_stencil(block, static_cast<std::size_t>(r)));
-  }
-  charge_rows(results.size());
-  return rows_from_results(block, results);
+  return rows_from_results(results);
 }
 
 }  // namespace dassa::core

@@ -152,7 +152,7 @@ double calibrate_row_udf(const io::ArraySource& source, const RowUdf& udf,
     const Array2D one(Shape2D{1, shape.cols}, data);
     const LocalBlock block = LocalBlock::whole(one);
     WallTimer timer;
-    (void)apply_rows_serial(block, udf);
+    (void)apply_rows(block, udf, 1);
     seconds += timer.seconds();
   }
   return seconds / static_cast<double>(sample_rows);

@@ -50,6 +50,8 @@ EngineReport run_engine(
     const EngineConfig& config, const io::Vca& vca,
     const std::function<Array2D(RankContext&)>& compute,
     std::size_t extra_bytes_per_rank) {
+  DASSA_CHECK(config.cores_per_node >= 1,
+              "engine needs at least one core per node");
   const int world = config.world_size();
   const Shape2D global = vca.shape();
   global_counters().add(counters::kHaeeRuns);
@@ -287,12 +289,7 @@ EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
   return run_engine(
       config, vca,
       [&](RankContext& ctx) -> Array2D {
-        const ScalarUdf udf = factory(ctx);
-        if (ctx.threads > 1) {
-          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
-          return apply_cells_mt(ctx.block, udf, pool);
-        }
-        return apply_cells_serial(ctx.block, udf);
+        return apply_cells(ctx.block, factory(ctx), ctx.threads);
       },
       0);
 }
@@ -303,12 +300,7 @@ EngineReport run_rows(const EngineConfig& config, const io::Vca& vca,
   return run_engine(
       config, vca,
       [&](RankContext& ctx) -> Array2D {
-        const RowUdf udf = factory(ctx);
-        if (ctx.threads > 1) {
-          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
-          return apply_rows_mt(ctx.block, udf, pool);
-        }
-        return apply_rows_serial(ctx.block, udf);
+        return apply_rows(ctx.block, factory(ctx), ctx.threads);
       },
       extra_bytes_per_rank);
 }

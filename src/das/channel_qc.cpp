@@ -108,8 +108,8 @@ ChannelQcReport channel_qc(const core::EngineConfig& config,
 
 ChannelQcReport channel_qc(const core::Array2D& data,
                            const ChannelQcParams& params) {
-  const core::Array2D out = core::apply_rows_serial(
-      core::LocalBlock::whole(data), stats_udf());
+  const core::Array2D out = core::apply_rows(
+      core::LocalBlock::whole(data), stats_udf(), 1);
   return from_stats_array(out, params);
 }
 

@@ -34,8 +34,9 @@ core::ScalarUdf make_local_similarity_udf(const LocalSimilarityParams& p) {
 
 core::Array2D local_similarity(const core::Array2D& data,
                                const LocalSimilarityParams& p, int threads) {
-  const core::LocalBlock block = core::LocalBlock::whole(data);
-  return core::apply_cells_omp(block, make_local_similarity_udf(p), threads);
+  DASSA_CHECK(threads >= 1, "local similarity needs at least one thread");
+  return core::apply_cells(core::LocalBlock::whole(data),
+                           make_local_similarity_udf(p), threads);
 }
 
 core::EngineReport local_similarity_distributed(

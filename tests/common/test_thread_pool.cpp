@@ -97,5 +97,20 @@ TEST(ThreadPoolTest, ManyMoreItemsThanThreads) {
   EXPECT_EQ(sum.load(), 100000LL * 99999 / 2);
 }
 
+TEST(ThreadPoolTest, BackToBackParallelForCalls) {
+  // Each call's join state lives on the caller's stack. The last
+  // worker must be done with it before the call returns, or the next
+  // call's frame reuses that memory while the worker still touches it
+  // (a data race under ThreadSanitizer, a dead-mutex error without).
+  ThreadPool pool(4);
+  std::atomic<std::size_t> items{0};
+  for (int call = 0; call < 20000; ++call) {
+    pool.parallel_for(4, [&](std::size_t, std::size_t b, std::size_t e) {
+      items.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(items.load(), 4u * 20000u);
+}
+
 }  // namespace
 }  // namespace dassa

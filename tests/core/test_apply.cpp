@@ -1,6 +1,6 @@
-// Apply engine tests: all backends (serial, pool-MT Algorithm 1,
-// direct-MT ablation, OpenMP) must agree with each other on cell and
-// row UDFs, including blocks with ghost rows.
+// Apply operator tests: apply_cells and apply_rows must give the same
+// output at every thread count as at one thread (the inline serial
+// reference), on cell and row UDFs, including blocks with ghost rows.
 #include "dassa/core/apply.hpp"
 
 #include <gtest/gtest.h>
@@ -27,10 +27,34 @@ double moving_avg_udf(const Stencil& s) {
   return (left + s(0, 0) + right) / 3.0;
 }
 
+/// Moving average plus both channel neighbours, which a ghost block
+/// supplies from its halo rows.
+double cross_udf(const Stencil& s) {
+  return moving_avg_udf(s) + s(0, -1) - 0.5 * s(0, 1);
+}
+
+/// Per-channel [sum, sum of the channel above]; the row above owned
+/// row 0 is a halo row in a ghost block.
+std::vector<double> row_sums_udf(const Stencil& s) {
+  double own = 0.0;
+  double above = 0.0;
+  for (double v : s.row_span(0)) own += v;
+  for (double v : s.row_span(-1)) above += v;
+  return {own, above};
+}
+
+/// `owned` rows with one halo row on each side, cut from a random
+/// array; the block starts at global row 4 of a taller array.
+LocalBlock ghost_block(std::size_t owned, std::size_t cols) {
+  const Array2D a = random_array({owned + 2, cols}, 11);
+  return LocalBlock{a.data, a.shape, 4, Range{1, owned + 1},
+                    Shape2D{owned + 20, cols}};
+}
+
 TEST(ApplySerialTest, MovingAverageMatchesNaive) {
   const Array2D a = random_array({4, 16});
   const Array2D out =
-      apply_cells_serial(LocalBlock::whole(a), moving_avg_udf);
+      apply_cells(LocalBlock::whole(a), moving_avg_udf, 1);
   ASSERT_EQ(out.shape, a.shape);
   for (std::size_t r = 0; r < a.shape.rows; ++r) {
     for (std::size_t c = 0; c < a.shape.cols; ++c) {
@@ -47,12 +71,23 @@ TEST_P(ApplyBackendTest, AllBackendsMatchSerial) {
   const int threads = GetParam();
   const Array2D a = random_array({7, 33});
   const LocalBlock block = LocalBlock::whole(a);
-  const Array2D ref = apply_cells_serial(block, moving_avg_udf);
+  const Array2D ref = apply_cells(block, moving_avg_udf, 1);
+  EXPECT_EQ(apply_cells(block, moving_avg_udf, threads), ref);
 
-  ThreadPool pool(static_cast<std::size_t>(threads));
-  EXPECT_EQ(apply_cells_mt(block, moving_avg_udf, pool), ref);
-  EXPECT_EQ(apply_cells_mt_direct(block, moving_avg_udf, pool), ref);
-  EXPECT_EQ(apply_cells_omp(block, moving_avg_udf, threads), ref);
+  // Ghost rows: 7 owned channels whose neighbours include the halo.
+  const LocalBlock ghosts = ghost_block(7, 33);
+  EXPECT_EQ(apply_cells(ghosts, cross_udf, threads),
+            apply_cells(ghosts, cross_udf, 1));
+  const Array2D rows_ref = apply_rows(ghosts, row_sums_udf, 1);
+  ASSERT_EQ(rows_ref.shape, (Shape2D{7, 2}));
+  EXPECT_EQ(apply_rows(ghosts, row_sums_udf, threads), rows_ref);
+
+  // Up to 8 threads over 3 rows: some threads get no row at all.
+  const LocalBlock three = ghost_block(3, 5);
+  EXPECT_EQ(apply_rows(three, row_sums_udf, threads),
+            apply_rows(three, row_sums_udf, 1));
+  EXPECT_EQ(apply_cells(three, cross_udf, threads),
+            apply_cells(three, cross_udf, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ApplyBackendTest,
@@ -67,9 +102,8 @@ TEST(ApplyMtTest, ResultOrderIsDeterministic) {
   const ScalarUdf idx_udf = [&shape](const Stencil& s) {
     return static_cast<double>(s.channel() * shape.cols + s.time());
   };
-  ThreadPool pool(4);
   for (int rep = 0; rep < 5; ++rep) {
-    const Array2D out = apply_cells_mt(block, idx_udf, pool);
+    const Array2D out = apply_cells(block, idx_udf, 4);
     for (std::size_t i = 0; i < out.data.size(); ++i) {
       ASSERT_EQ(out.data[i], static_cast<double>(i));
     }
@@ -92,7 +126,7 @@ TEST(ApplyTest, GhostRowsVisibleButNotIterated) {
   block.global_shape = {100, 3};
 
   const ScalarUdf udf = [](const Stencil& s) { return s(0, -1) + s(0, 1); };
-  const Array2D out = apply_cells_serial(block, udf);
+  const Array2D out = apply_cells(block, udf, 1);
   ASSERT_EQ(out.shape, (Shape2D{2, 3}));
   // Owned row 0 (local 1): up = local 0, down = local 2.
   EXPECT_EQ(out.at(0, 0), block.data[0] + block.data[6]);
@@ -113,7 +147,7 @@ TEST(ApplyRowsTest, RowUdfRunsOncePerOwnedChannel) {
     }
     return {mean / static_cast<double>(row.size()), mx};
   };
-  const Array2D out = apply_rows_serial(block, udf);
+  const Array2D out = apply_rows(block, udf, 1);
   ASSERT_EQ(out.shape, (Shape2D{6, 2}));
   for (std::size_t r = 0; r < 6; ++r) {
     double mean = 0.0;
@@ -136,16 +170,15 @@ TEST(ApplyRowsTest, BackendsMatchAndLengthsEnforced) {
     for (std::size_t i = 0; i < row.size(); ++i) out[i] = 2.0 * row[i];
     return out;
   };
-  const Array2D ref = apply_rows_serial(block, udf);
-  ThreadPool pool(3);
-  EXPECT_EQ(apply_rows_mt(block, udf, pool), ref);
-  EXPECT_EQ(apply_rows_omp(block, udf, 3), ref);
+  const Array2D ref = apply_rows(block, udf, 1);
+  EXPECT_EQ(apply_rows(block, udf, 3), ref);
 
   // Inconsistent lengths must be rejected.
   const RowUdf bad = [](const Stencil& s) -> std::vector<double> {
     return std::vector<double>(s.channel() % 2 + 1, 0.0);
   };
-  EXPECT_THROW((void)apply_rows_serial(block, bad), InvalidArgument);
+  EXPECT_THROW((void)apply_rows(block, bad, 1), InvalidArgument);
+  EXPECT_THROW((void)apply_rows(block, bad, 3), InvalidArgument);
 }
 
 TEST(ApplyTest, ValidatesBlockConsistency) {
@@ -154,9 +187,16 @@ TEST(ApplyTest, ValidatesBlockConsistency) {
   block.data.resize(5);  // wrong size
   block.owned_local = Range{0, 2};
   block.global_shape = {2, 3};
-  EXPECT_THROW(
-      (void)apply_cells_serial(block, [](const Stencil&) { return 0.0; }),
-      InvalidArgument);
+  const ScalarUdf zero = [](const Stencil&) { return 0.0; };
+  EXPECT_THROW((void)apply_cells(block, zero, 1), InvalidArgument);
+
+  // A thread count is a count: zero or negative is rejected up front.
+  block.data.resize(6);
+  const RowUdf empty = [](const Stencil&) { return std::vector<double>{}; };
+  for (const int threads : {0, -1}) {
+    EXPECT_THROW((void)apply_cells(block, zero, threads), InvalidArgument);
+    EXPECT_THROW((void)apply_rows(block, empty, threads), InvalidArgument);
+  }
 }
 
 TEST(ApplyTest, EmptyOwnedRegionGivesEmptyOutput) {
@@ -166,7 +206,7 @@ TEST(ApplyTest, EmptyOwnedRegionGivesEmptyOutput) {
   block.owned_local = Range{1, 1};  // nothing owned
   block.global_shape = {2, 3};
   const Array2D out =
-      apply_cells_serial(block, [](const Stencil&) { return 1.0; });
+      apply_cells(block, [](const Stencil&) { return 1.0; }, 1);
   EXPECT_EQ(out.shape.rows, 0u);
   EXPECT_TRUE(out.data.empty());
 }

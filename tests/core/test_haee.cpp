@@ -62,8 +62,7 @@ TEST_P(HaeeModeTest, DistributedMatchesSingleRank) {
   Fixture fx(dir);
 
   // Reference: single rank, serial.
-  const Array2D ref =
-      apply_cells_serial(LocalBlock::whole(fx.truth), cross_udf);
+  const Array2D ref = apply_cells(LocalBlock::whole(fx.truth), cross_udf, 1);
 
   EngineConfig config;
   config.nodes = nodes;

@@ -70,8 +70,8 @@ TEST(HaeeStressTest, ConcurrentRowApplySharesPlanCacheSafely) {
   Fixture fx(dir, 32, 2, 0.4);
 
   // Reference: serial, single rank.
-  const Array2D ref = apply_rows_serial(LocalBlock::whole(fx.truth),
-                                        fft_row_udf());
+  const Array2D ref =
+      apply_rows(LocalBlock::whole(fx.truth), fft_row_udf(), 1);
 
   global_counters().reset();
   EngineConfig config;

@@ -88,7 +88,7 @@ TEST(PipelineBuilderTest, BuiltUdfIsImmutableSnapshot) {
     data.at(0, i) = 5.0 + static_cast<double>(i % 2);
   }
   const core::Array2D out =
-      core::apply_rows_serial(core::LocalBlock::whole(data), udf);
+      core::apply_rows(core::LocalBlock::whole(data), udf, 1);
   // demean only: values are +-0.5, not +-1 (one_bit would give that).
   EXPECT_NEAR(std::abs(out.at(0, 0)), 0.5, 1e-12);
 }
@@ -119,8 +119,8 @@ TEST(PipelineBuilderTest, MatchesHandWrittenInterferometry) {
   core::Array2D data(Shape2D{1, 500});
   std::copy(x.begin(), x.end(), data.data.begin());
   const core::LocalBlock block = core::LocalBlock::whole(data);
-  const core::Array2D a = core::apply_rows_serial(block, theirs);
-  const core::Array2D b = core::apply_rows_serial(block, ours);
+  const core::Array2D a = core::apply_rows(block, theirs, 1);
+  const core::Array2D b = core::apply_rows(block, ours, 1);
   ASSERT_EQ(a.shape, b.shape);
   EXPECT_NEAR(a.at(0, 0), b.at(0, 0), 1e-12);
 }
@@ -133,7 +133,7 @@ TEST(PipelineBuilderTest, MismatchedMasterLengthRejected) {
 
   core::Array2D data(Shape2D{1, 100}, 1.0);
   EXPECT_THROW(
-      (void)core::apply_rows_serial(core::LocalBlock::whole(data), udf),
+      (void)core::apply_rows(core::LocalBlock::whole(data), udf, 1),
       InvalidArgument);
 }
 

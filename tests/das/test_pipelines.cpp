@@ -99,6 +99,7 @@ TEST(LocalSimilarityTest, ThreadCountDoesNotChangeResult) {
   const core::Array2D a = local_similarity(data, p, 1);
   const core::Array2D b = local_similarity(data, p, 4);
   EXPECT_EQ(a, b);
+  EXPECT_THROW((void)local_similarity(data, p, 0), InvalidArgument);
 }
 
 TEST(LocalSimilarityTest, DistributedMatchesSingleNode) {
@@ -297,6 +298,7 @@ TEST(BaselineTest, BaselineMatchesDassaNumerics) {
   for (std::size_t i = 0; i < matlab.output.data.size(); ++i) {
     EXPECT_NEAR(matlab.output.data[i], dassa.output.data[i], 1e-9);
   }
+  EXPECT_THROW((void)dassa_interferometry(data, p, 0), InvalidArgument);
 }
 
 TEST(BaselineTest, BaselineMaterialisesTemporariesAndCopies) {

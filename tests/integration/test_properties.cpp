@@ -127,8 +127,8 @@ TEST_P(PropertyTrial, DistributedApplyEqualsSerialForRandomConfigs) {
     return acc + 0.5 * left;
   };
 
-  const core::Array2D serial = core::apply_cells_serial(
-      core::LocalBlock::whole(core::Array2D(acq.shape, acq.data)), udf);
+  const core::Array2D serial = core::apply_cells(
+      core::LocalBlock::whole(core::Array2D(acq.shape, acq.data)), udf, 1);
   const core::EngineReport report = core::run_cells(
       config, vca, [&](const core::RankContext&) { return udf; });
 
