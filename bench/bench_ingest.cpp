@@ -5,8 +5,8 @@
 // SpoolWatcher producer thread, a deliberately tiny BoundedQueue, and
 // the IngestDriver consumer -- with the telemetry sampler running, then
 // reports the per-file ingest-to-detection latency distribution
-// (p50/p99) read back from the *validated* "dassa.telemetry.v1" file
-// the run exported, exactly as an operator would read it off a real
+// (p50/p99) read back from the telemetry file the run exported, through
+// the strict reader, exactly as an operator would read it off a real
 // deployment. Writes BENCH_ingest.json and, with --check, gates:
 //
 //   * correctness: the streamed similarity map is byte-identical to an
@@ -22,7 +22,6 @@
 //
 // Usage: bench_ingest [--check] [--out BENCH_ingest.json]
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -51,7 +50,7 @@ constexpr std::size_t kQueueCapacity = 2;  // undersized on purpose
 constexpr double kP50CeilingNs = 1.0e9;
 constexpr double kP99CeilingNs = 2.0e9;
 
-/// p50/p99 of the per-file latency, read from the validated telemetry
+/// p50/p99 of the per-file latency, read from the checked telemetry
 /// file the run wrote (not from in-process state).
 struct LatencyQuantiles {
   double p50_ns = 0.0;
@@ -60,19 +59,14 @@ struct LatencyQuantiles {
 };
 
 LatencyQuantiles read_back_latency(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  const telemetry::TelemetryFile parsed =
-      telemetry::parse_telemetry_jsonl(text.str());
-  telemetry::validate_telemetry_file(parsed);
+  const auto hists =
+      telemetry::final_histograms(telemetry::read_telemetry_file(path));
   LatencyQuantiles q;
-  for (const telemetry::HistRecord& h : parsed.hists) {
-    if (h.name == "ingest.file_to_detection") {
-      q.p50_ns = h.p50_ns;
-      q.p99_ns = h.p99_ns;
-      q.count = h.count;
-    }
+  const auto it = hists.find("ingest.file_to_detection");
+  if (it != hists.end()) {
+    q.p50_ns = it->second.quantile_ns(0.50);
+    q.p99_ns = it->second.quantile_ns(0.99);
+    q.count = it->second.count;
   }
   return q;
 }
@@ -146,9 +140,10 @@ int main(int argc, char** argv) {
   // and a later tick from another user would read a dangling ref.
   telemetry::register_gauge("ingest.queue.depth", [] { return 0.0; });
 
-  // Export + validate the telemetry file, then read the latency
-  // distribution back off disk -- the same path an operator takes.
-  const std::string telemetry_path = dir.file("ingest_telemetry.jsonl");
+  // Export the telemetry file, then read the latency distribution back
+  // off disk through the strict reader -- the same path an operator
+  // takes.
+  const std::string telemetry_path = dir.file("ingest.tlm");
   {
     telemetry::TelemetryFile file;
     file.meta["tool"] = "bench_ingest";
@@ -156,20 +151,8 @@ int main(int argc, char** argv) {
     file.meta["world_size"] = std::to_string(cfg.engine.world_size());
     file.meta["threads_per_rank"] =
         std::to_string(cfg.engine.threads_per_rank());
-    file.samples = sampler.timeline();
-    for (const auto& [name, h] : global_metrics().snapshot()) {
-      telemetry::HistRecord rec;
-      rec.name = name;
-      rec.count = h.count;
-      rec.total_ns = h.total_ns;
-      rec.p50_ns = h.quantile_ns(0.50);
-      rec.p95_ns = h.quantile_ns(0.95);
-      rec.p99_ns = h.quantile_ns(0.99);
-      rec.buckets = h.buckets;
-      file.hists.push_back(std::move(rec));
-    }
-    std::ofstream out(telemetry_path);
-    telemetry::write_telemetry_file(out, file);
+    file.timeline = sampler.timeline();
+    telemetry::write_telemetry_file(telemetry_path, file);
   }
   const LatencyQuantiles latency = read_back_latency(telemetry_path);
 

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   // then demand the polled snapshot agree exactly with the in-process
   // registries the end-of-run telemetry export serializes.
   constexpr std::uint64_t kTotalRequests = kClients * kRequestsPerClient;
-  serve::StatsSnapshot polled;
+  Snapshot polled;
   {
     serve::Connection stats_conn = serve::connect_local(cfg.socket_path);
     for (int spin = 0; spin < 2000; ++spin) {
@@ -226,8 +226,7 @@ int main(int argc, char** argv) {
       if (name == "serve.bytes_received" || name == "serve.bytes_sent") {
         continue;
       }
-      const auto it = polled.counters.find(name);
-      if (it == polled.counters.end() || it->second != value) {
+      if (!polled.counters.contains(name) || polled.counter(name) != value) {
         std::cerr << "bench_serve: stats counter " << name
                   << " disagrees with the local registry\n";
         stats_reconciled = false;

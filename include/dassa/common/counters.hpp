@@ -13,29 +13,34 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "dassa/common/sync.hpp"
 
 namespace dassa {
 
 /// Thread-safe named counter registry. Counters are created on first
-/// use and live for the registry's lifetime.
+/// use and live for the registry's lifetime. Lookups go through a
+/// transparent comparator, so charging an existing counter never
+/// builds a temporary std::string (names past the 15-byte SSO limit,
+/// e.g. "telemetry.cells_processed", would otherwise allocate on every
+/// charge).
 class CounterRegistry {
  public:
   /// Add `delta` to counter `name`.
-  void add(const std::string& name, std::uint64_t delta = 1) {
+  void add(std::string_view name, std::uint64_t delta = 1) {
     MutexLock lock(mu_);
-    counters_[name] += delta;
+    slot(name) += delta;
   }
 
   /// Track a high-water mark: sets counter `name` to max(current, value).
-  void high_water(const std::string& name, std::uint64_t value) {
+  void high_water(std::string_view name, std::uint64_t value) {
     MutexLock lock(mu_);
-    auto& c = counters_[name];
+    auto& c = slot(name);
     if (value > c) c = value;
   }
 
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+  [[nodiscard]] std::uint64_t get(std::string_view name) const {
     MutexLock lock(mu_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
@@ -48,7 +53,7 @@ class CounterRegistry {
 
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const {
     MutexLock lock(mu_);
-    return counters_;
+    return {counters_.begin(), counters_.end()};
   }
 
   friend std::ostream& operator<<(std::ostream& os,
@@ -60,8 +65,15 @@ class CounterRegistry {
   }
 
  private:
+  std::uint64_t& slot(std::string_view name) DASSA_REQUIRES(mu_) {
+    auto it = counters_.find(name);
+    if (it == counters_.end()) it = counters_.emplace(name, 0).first;
+    return it->second;
+  }
+
   mutable Mutex mu_;
-  std::map<std::string, std::uint64_t> counters_ DASSA_GUARDED_BY(mu_);
+  std::map<std::string, std::uint64_t, std::less<>> counters_
+      DASSA_GUARDED_BY(mu_);
 };
 
 /// Process-global registry used by the I/O layer and MiniMPI.

@@ -23,7 +23,9 @@
 
 namespace dassa {
 
-/// Non-atomic copy of a histogram for reporting.
+/// Non-atomic copy of a histogram for reporting. `count` is the bucket
+/// sum: every producer (LatencyHistogram::snapshot, merge, diff, the
+/// Snapshot decoder) derives it from `buckets`, and no format stores it.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
@@ -55,19 +57,18 @@ struct HistogramSnapshot {
 };
 
 /// Thread-safe power-of-two latency histogram. All methods may be
-/// called concurrently; record() is two relaxed atomic adds plus one
-/// atomic increment.
+/// called concurrently; record() is two relaxed atomic adds. There is
+/// no separate count: a snapshot's count is its bucket sum, so no
+/// snapshot -- however it races record_ns() -- can disagree with itself.
 class LatencyHistogram {
  public:
   void record_ns(std::uint64_t ns) {
     buckets_[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     total_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Samples recorded so far (the bucket sum).
+  [[nodiscard]] std::uint64_t count() const { return snapshot().count; }
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
@@ -85,7 +86,6 @@ class LatencyHistogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, 64> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> total_ns_{0};
 };
 

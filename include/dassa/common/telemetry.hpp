@@ -1,52 +1,47 @@
-// DASSA common: telemetry sampling and the pipeline health report.
+// DASSA common: telemetry sampling, the telemetry file, and the run
+// report.
 //
 // Spans (trace.hpp) answer "where did the time go" after a run;
 // counters answer "how much work happened" in total. Neither answers
 // the operator's question *during* a long HAEE campaign: is the
 // pipeline still making progress, and at what rate? The TelemetrySampler
-// closes that gap -- a background thread snapshots every global
-// counter, registered gauge, histogram percentile, and the process's
-// resource usage (RSS, peak RSS, user/sys CPU) into an in-memory
-// timeline at a configurable period. The timeline exports as JSONL
-// ("dassa.telemetry.v1", one typed record per line) and parses back
-// through an in-tree reader with a validator strict enough to serve as
-// the schema's executable spec.
+// closes that gap -- a background thread takes a Snapshot
+// (snapshot.hpp: every global counter, registered gauge, exact latency
+// histogram, and the process's resource usage) into an in-memory
+// timeline at a configurable period.
 //
-// The same file model carries the post-run records: per-stage
-// throughput, per-rank counter totals gathered over MiniMPI, cluster
-// aggregates with imbalance ratios, and merged histograms.
-// write_health_report() renders the whole file as the operator-facing
-// summary das_health and `das_analyze --telemetry` print.
+// The telemetry file is that timeline plus the per-rank Snapshots a run
+// gathered over MiniMPI, behind a small meta header:
+//   8 B magic "DASTLM\0\2" | v n_meta, n_meta x (v len, key, v len, value)
+//   | v n_timeline | v n_ranks | (n_timeline + n_ranks) x (v len, frame)
+//   | u32 CRC32 of everything before it
+// ("v" a strict LEB128 varint, each frame one Snapshot). Nothing
+// derivable is stored: aggregates, imbalance, merged histograms,
+// percentiles and stage rows are computed when the file is read.
+// `das_top --file` reads (fully decodes and checks) a file and renders
+// write_health_report().
 #pragma once
 
-#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dassa/common/snapshot.hpp"
 #include "dassa/common/sync.hpp"
 
 namespace dassa::telemetry {
 
-/// JSONL schema identifier written into every telemetry file's meta
-/// record and required back by validate_telemetry_file().
-inline constexpr const char* kSchemaVersion = "dassa.telemetry.v1";
-
-/// Process resource usage at one instant. Peak RSS and CPU come from
+/// Process resource usage now. Peak RSS and CPU come from
 /// getrusage(RUSAGE_SELF); current RSS from /proc/self/statm (0 where
 /// unavailable).
-struct ResourceUsage {
-  std::uint64_t rss_bytes = 0;
-  std::uint64_t peak_rss_bytes = 0;
-  std::uint64_t user_cpu_ns = 0;
-  std::uint64_t sys_cpu_ns = 0;
-};
-
 [[nodiscard]] ResourceUsage sample_resources();
 
 /// A gauge is a point-in-time reading (queue depth, cache occupancy)
@@ -62,28 +57,24 @@ void register_gauge(const std::string& name, GaugeFn fn);
 /// present.
 [[nodiscard]] std::map<std::string, double> read_gauges();
 
-/// One timeline entry: everything observable about the process at one
-/// instant. Counter values are cumulative; gauges are instantaneous.
-/// Histogram percentiles are folded into `gauges` as
-/// "hist.<name>.p50_ns" / ".p95_ns" / ".p99_ns" / ".count".
-struct Sample {
-  std::uint64_t seq = 0;      ///< contiguous from 0 per timeline
-  std::uint64_t wall_ns = 0;  ///< trace clock (ns since process epoch)
-  ResourceUsage res;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-};
+/// Snapshot this process now: trace clock, resources, global counters,
+/// registered gauges, and every histogram in global_metrics(). What
+/// kStats answers and what each sampler tick records.
+[[nodiscard]] Snapshot collect();
 
 struct SamplerConfig {
   std::chrono::milliseconds period{250};
-  std::size_t max_samples = 1 << 14;  ///< timeline cap; extra ticks drop
-  bool include_histograms = true;     ///< fold percentiles into gauges
+  /// Timeline cap: past it each tick evicts the oldest sample, so the
+  /// newest (a daemon's final shutdown sample included) always stays.
+  std::size_t max_samples = 1 << 14;
 };
 
 /// Periodic sampler. start() launches one background thread; stop()
 /// (or destruction) joins it. tick() takes one sample synchronously
 /// and is the deterministic injection point the tests drive -- the
-/// background loop calls exactly the same code.
+/// background loop calls exactly the same code. Each tick charges
+/// telemetry.samples before it collects, so a timeline's
+/// telemetry.samples values are consecutive integers.
 class TelemetrySampler {
  public:
   explicit TelemetrySampler(SamplerConfig cfg = {});
@@ -99,27 +90,28 @@ class TelemetrySampler {
   /// Take one sample now (any thread; also the background loop body).
   void tick();
 
-  /// Copy of the timeline so far, oldest first.
-  [[nodiscard]] std::vector<Sample> timeline() const;
+  /// Copy of the retained timeline (the newest max_samples), oldest
+  /// first.
+  [[nodiscard]] std::vector<Snapshot> timeline() const;
 
-  /// Ticks discarded because the timeline hit max_samples.
-  [[nodiscard]] std::uint64_t dropped() const;
+  /// Oldest samples evicted because the timeline hit max_samples.
+  [[nodiscard]] std::uint64_t evicted() const;
 
  private:
   void run_loop();
 
   SamplerConfig cfg_;
   // Serializes whole ticks (a manual tick() racing the background
-  // loop's): the counter snapshot and the timeline append must be
-  // atomic per sample or racing ticks can append in opposite order and
-  // break the stream's monotone-counter invariant. Always acquired
-  // before mu_; nothing else takes it, so no ordering hazard.
+  // loop's): the counter charge, the snapshot and the timeline append
+  // must be atomic per sample or racing ticks can append in opposite
+  // order and break the timeline's consecutive-telemetry.samples and
+  // monotone-counter rules. Always acquired before mu_; nothing else
+  // takes it, so no ordering hazard.
   Mutex tick_mu_;
   mutable Mutex mu_;
   CondVar cv_;
-  std::vector<Sample> samples_ DASSA_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ DASSA_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ DASSA_GUARDED_BY(mu_) = 0;
+  std::deque<Snapshot> samples_ DASSA_GUARDED_BY(mu_);
+  std::uint64_t evicted_ DASSA_GUARDED_BY(mu_) = 0;
   // Joined outside mu_ in stop() (joining under the lock would deadlock
   // against run_loop's own locking); start/stop are single-owner calls.
   std::thread thread_;
@@ -127,77 +119,43 @@ class TelemetrySampler {
   bool stop_requested_ DASSA_GUARDED_BY(mu_) = false;
 };
 
-// ---- telemetry file model (JSONL, one typed record per line) ---------
+// ---- telemetry file ----------------------------------------------------
 
-/// Post-run per-stage summary ("read", "halo", "compute", "write").
-struct StageRecord {
-  std::string name;
-  double seconds = 0.0;
-  std::uint64_t bytes = 0;  ///< bytes moved by the stage (0 if n/a)
-  std::uint64_t rows = 0;   ///< rows retired by the stage (0 if n/a)
-};
-
-/// One rank's counter totals, gathered over MiniMPI.
-struct RankRecord {
-  int rank = 0;
-  std::map<std::string, std::uint64_t> counters;
-};
-
-/// Cluster-wide aggregate of one counter across ranks. `imbalance` is
-/// max / mean -- 1.0 means perfectly balanced, 2.4 means the busiest
-/// rank did 2.4x the average.
-struct AggRecord {
-  std::string counter;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  int min_rank = 0;
-  int max_rank = 0;
-  double imbalance = 1.0;
-};
-
-/// Cluster-merged latency histogram with precomputed percentiles.
-struct HistRecord {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  double p50_ns = 0.0;
-  double p95_ns = 0.0;
-  double p99_ns = 0.0;
-  std::array<std::uint64_t, 64> buckets{};
-};
-
-/// Everything a telemetry JSONL file carries.
+/// Everything a telemetry file carries.
 struct TelemetryFile {
-  std::map<std::string, std::string> meta;  ///< includes "schema"
-  std::vector<Sample> samples;
-  std::vector<StageRecord> stages;
-  std::vector<RankRecord> ranks;
-  std::vector<AggRecord> aggs;
-  std::vector<HistRecord> hists;
+  std::map<std::string, std::string> meta;  ///< tool, pipeline, ...
+  std::vector<Snapshot> timeline;           ///< sampler, oldest first
+  std::vector<Snapshot> ranks;              ///< one per rank, by rank
+
+  friend bool operator==(const TelemetryFile&,
+                         const TelemetryFile&) = default;
 };
 
-/// Serialize as JSONL. Writes the meta record first (stamping the
-/// schema version), then samples, stages, ranks, aggs, hists.
-void write_telemetry_file(std::ostream& os, const TelemetryFile& file);
+[[nodiscard]] std::vector<std::byte> encode_telemetry_file(
+    const TelemetryFile& file);
 
-/// Parse text produced by write_telemetry_file. Throws
-/// dassa::FormatError on malformed JSON, an unknown record type, or a
-/// missing required field.
-[[nodiscard]] TelemetryFile parse_telemetry_jsonl(const std::string& text);
+/// Decode and check a whole file. Throws dassa::FormatError on a bad
+/// magic, a CRC mismatch (any flipped byte), truncation or trailing
+/// bytes, any malformed Snapshot frame, and a timeline that breaks its
+/// rules: telemetry.samples consecutive (no gap), wall clock
+/// non-decreasing (no time travel), counters non-decreasing.
+[[nodiscard]] TelemetryFile decode_telemetry_file(
+    std::span<const std::byte> bytes);
 
-/// Schema validation with teeth. Throws dassa::FormatError describing
-/// the first violation of: schema version present and supported;
-/// sample seq contiguous from 0 with non-decreasing wall clock;
-/// counters monotonic across samples; histogram count equal to the
-/// bucket sum; every aggregate's sum/min/max exactly consistent with
-/// the per-rank records.
-void validate_telemetry_file(const TelemetryFile& file);
+/// File forms of the two above; IoError if the path cannot be opened.
+void write_telemetry_file(const std::string& path, const TelemetryFile& file);
+[[nodiscard]] TelemetryFile read_telemetry_file(const std::string& path);
 
-/// Render the operator-facing health report: stage throughput and time
-/// breakdown, resource ceiling, cache/codec efficiency, per-rank
-/// imbalance table, merged percentiles, and stall warnings (sampler
-/// intervals with zero counter progress while spans were open).
+/// The merged latency view of a file: bucket-merged rank histograms if
+/// the file has rank frames, else the final timeline sample's.
+[[nodiscard]] std::map<std::string, HistogramSnapshot> final_histograms(
+    const TelemetryFile& file);
+
+/// Render the run report: meta, stage rows (seconds = max over ranks
+/// of each "<ns>.stage.<name>_ns" rank counter; MB/s and rows/s from
+/// the cluster sums of the stage's work counters), resource ceiling,
+/// cache/codec efficiency, the per-rank imbalance table, latency
+/// percentiles, and one warning per stall() interval of the timeline.
 void write_health_report(std::ostream& os, const TelemetryFile& file);
 
 }  // namespace dassa::telemetry

@@ -103,7 +103,7 @@ struct EngineReport {
   /// Cross-rank telemetry reduced onto rank 0 at the end of the run:
   /// per-rank read bytes / rows / comm traffic with cluster-wide
   /// aggregates and imbalance ratios (das_analyze --telemetry).
-  mpi::ClusterTelemetry telemetry;
+  ClusterTelemetry telemetry;
 };
 
 /// Run a cell-granularity UDF (e.g. local similarity) distributed.

@@ -1,95 +1,46 @@
 // Live introspection: the kStats protocol (docs/SERVING.md).
 //
-// A running daemon's telemetry used to be post-mortem only -- JSONL
-// written at exit, inspected by das_health. kStats closes that gap:
-// any client can send a one-byte kStatsRequest frame over the audited
-// socket layer and get back a versioned snapshot of every global
-// counter, every registered gauge, and the exact 64-bucket contents of
-// every latency histogram. das_serve answers it inline on its main
-// socket; das_ingest exposes a dedicated StatsListener. das_top polls
-// either, diffs consecutive snapshots, and renders the live view.
+// Any client can send a one-byte kStatsRequest frame over the audited
+// socket layer and get back a kStatsOk frame: the type byte followed by
+// one Snapshot frame (common/snapshot.hpp, version 2) of the process
+// -- every global counter, registered gauge, exact 64-bucket latency
+// histogram, and its resource usage. das_serve answers it inline on its
+// main socket; das_ingest exposes a dedicated StatsListener. das_top
+// polls either, diffs consecutive snapshots, and renders the live view.
 //
-// The wire format follows the untrusted-byte discipline of
-// protocol.cpp: bounded entry counts before any allocation, bounded
-// name lengths, strictly increasing names (the encoder walks sorted
-// maps, so anything else is a forgery), strictly increasing bucket
-// indexes, histogram counts that must equal their bucket sums, and an
-// exact-consumption check. Every violation is dassa::FormatError.
+// The Snapshot decoder is the strict untrusted-byte check; this layer
+// adds the type byte and an exact-consumption check. Every violation is
+// dassa::FormatError.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "dassa/common/metrics.hpp"
+#include "dassa/common/snapshot.hpp"
 #include "dassa/common/sync.hpp"
 #include "dassa/serve/protocol.hpp"
 #include "dassa/serve/socket.hpp"
 
 namespace dassa::serve {
 
-/// Wire-format version stamped into every kStatsOk frame; a decoder
-/// refuses anything else rather than guessing at field layouts.
-inline constexpr std::uint32_t kStatsVersion = 1;
-
-/// Ceilings a decoder enforces before allocating: entries per section
-/// and bytes per metric name.
-inline constexpr std::size_t kMaxStatsEntries = 4096;
-inline constexpr std::size_t kMaxStatsNameBytes = 256;
-
-/// One live snapshot of a process's observable state. Counters are
-/// cumulative, gauges instantaneous, histograms bucket-exact (so a
-/// poller can diff two snapshots into an interval view with
-/// HistogramSnapshot::diff). `wall_ns` is the daemon's trace clock at
-/// snapshot time -- deltas between two snapshots give the exact
-/// sampling interval without any client/daemon clock agreement.
-struct StatsSnapshot {
-  std::uint32_t version = kStatsVersion;
-  std::uint64_t wall_ns = 0;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> hists;
-
-  friend bool operator==(const StatsSnapshot&, const StatsSnapshot&) = default;
-};
-
-/// Snapshot this process now: global counters, registered gauges
-/// (telemetry::read_gauges), and every histogram in global_metrics().
-/// The snapshot is reconciled (below) before it is returned, so
-/// encoding it always yields a decodable frame.
-[[nodiscard]] StatsSnapshot collect_process_stats();
-
-/// Derive every histogram's count from its bucket sum. A live
-/// LatencyHistogram updates buckets and count as independent relaxed
-/// atomics, so a registry snapshot taken against concurrent
-/// record_ns() can be torn -- count ahead of or behind the bucket sum
-/// -- while the wire format pins count == sum(buckets). Reconciling on
-/// the encoding side keeps every frame a daemon emits self-consistent
-/// (the strict decoder check stays, guarding against forgeries);
-/// records in flight at snapshot time surface in the next poll.
-void reconcile_torn_histograms(StatsSnapshot& s);
-
 [[nodiscard]] std::vector<std::byte> encode_stats_request();
-[[nodiscard]] std::vector<std::byte> encode_stats(const StatsSnapshot& s);
+[[nodiscard]] std::vector<std::byte> encode_stats(const Snapshot& s);
 
 /// Validate a received kStatsRequest frame (exactly one type byte).
 void decode_stats_request(const std::vector<std::byte>& frame);
 
-/// Decode a kStatsOk frame; throws FormatError on version mismatch,
-/// truncation, trailing bytes, oversized or unsorted sections, bucket
-/// indexes out of range, or a histogram count that disagrees with its
-/// bucket sum.
-[[nodiscard]] StatsSnapshot decode_stats(const std::vector<std::byte>& frame);
+/// Decode a kStatsOk frame; throws FormatError on a wrong type byte,
+/// trailing bytes, or anything decode_snapshot refuses.
+[[nodiscard]] Snapshot decode_stats(const std::vector<std::byte>& frame);
 
 /// One kStats round trip on an established connection (das_top's poll
 /// body). Throws IoError if the daemon vanished, FormatError on a
 /// malformed reply, StateError if the daemon refused the request.
-[[nodiscard]] StatsSnapshot fetch_stats(Connection& conn);
+[[nodiscard]] Snapshot fetch_stats(Connection& conn);
 
 /// A stats-only endpoint for daemons whose primary socket speaks some
 /// other protocol (das_ingest): accepts connections on its own path

@@ -17,7 +17,8 @@
 #                     (ThreadPool, FFT engine, MiniMPI, HAEE stress,
 #                     storage engine, tracer, telemetry sampler).
 #   5. telemetry   -- das_analyze --telemetry on a 4-rank synthetic run,
-#                     validated and rendered by das_health.
+#                     checked and rendered by das_top --file; a copy
+#                     with one byte flipped must be refused.
 #   6. bench       -- bench_compare.py + bench_codec perf-regression
 #                     gates (optional, skipped with --no-bench).
 #
@@ -178,30 +179,44 @@ leg_tsan() {
 leg_telemetry() {
   # End-to-end observability smoke: generate a tiny acquisition, run
   # the analysis pipeline on 4 ranks with telemetry sampling, then make
-  # das_health validate and render the resulting JSONL.
-  step "telemetry: das_analyze --telemetry -> das_health round trip"
+  # das_top --file check and render the resulting telemetry file -- and
+  # refuse a copy of it with one byte flipped.
+  step "telemetry: das_analyze --telemetry -> das_top --file round trip"
   cmake --preset default
   cmake --build --preset default -j "${JOBS}" \
-    --target das_generate das_analyze das_health
+    --target das_generate das_analyze das_top
   TELEDIR="$(mktemp -d)"
   ./build/tools/das_generate --dir "${TELEDIR}" --channels 16 --rate 20 \
     --files 2 --seconds-per-file 2 --start 170728224510
   ./build/tools/das_analyze --dir "${TELEDIR}" --pipeline similarity \
     --window-half 4 --lag-half 2 --nodes 4 \
-    --telemetry "${TELEDIR}/run.telemetry.jsonl" --telemetry-period-ms 5 \
+    --telemetry "${TELEDIR}/run.tlm" --telemetry-period-ms 5 \
     --out "${TELEDIR}/out.dh5" > /dev/null
-  ./build/tools/das_health "${TELEDIR}/run.telemetry.jsonl" --validate-only
-  ./build/tools/das_health "${TELEDIR}/run.telemetry.jsonl" > /dev/null
+  ./build/tools/das_top --file "${TELEDIR}/run.tlm" > /dev/null
+
+  step "telemetry: a corrupted telemetry file is refused"
+  cp "${TELEDIR}/run.tlm" "${TELEDIR}/flipped.tlm"
+  local at byte
+  at=$(( $(stat -c %s "${TELEDIR}/flipped.tlm") / 2 ))
+  byte=$(od -An -tu1 -j "${at}" -N1 "${TELEDIR}/flipped.tlm" | tr -d ' ')
+  # shellcheck disable=SC2059  # the format is the escaped byte itself
+  printf "$(printf '\\%03o' $(( byte ^ 0x20 )))" \
+    | dd of="${TELEDIR}/flipped.tlm" bs=1 seek="${at}" conv=notrunc status=none
+  cmp -s "${TELEDIR}/run.tlm" "${TELEDIR}/flipped.tlm" && return 1
+  if ./build/tools/das_top --file "${TELEDIR}/flipped.tlm" > /dev/null 2>&1; then
+    echo "das_top --file accepted a corrupted telemetry file" >&2
+    return 1
+  fi
 
   # Live introspection smoke: a das_serve daemon, das_top polling its
   # kStats over the socket (human view and Prometheus exposition), and
-  # a SIGUSR1 mid-run telemetry flush validated by das_health.
+  # a SIGUSR1 mid-run telemetry flush checked by das_top --file.
   step "telemetry: live kStats -> das_top + SIGUSR1 flush"
   cmake --build --preset default -j "${JOBS}" --target das_serve das_top
   local serve_sock="${TELEDIR}/serve.sock"
   ./build/tools/das_serve --socket "${serve_sock}" \
     --archive "${TELEDIR}/out.dh5" \
-    --telemetry "${TELEDIR}/serve.telemetry.jsonl" > /dev/null &
+    --telemetry "${TELEDIR}/serve.tlm" > /dev/null &
   local serve_pid=$!
   local i
   for i in $(seq 1 100); do
@@ -216,8 +231,8 @@ leg_telemetry() {
   kill -USR1 "${serve_pid}"
   local flushed=0
   for i in $(seq 1 100); do
-    if ./build/tools/das_health "${TELEDIR}/serve.telemetry.jsonl" \
-        --validate-only > /dev/null 2>&1; then
+    if ./build/tools/das_top --file "${TELEDIR}/serve.tlm" \
+        > /dev/null 2>&1; then
       flushed=1
       break
     fi

@@ -75,30 +75,28 @@ HistogramSnapshot HistogramSnapshot::diff(
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
   HistogramSnapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
   s.total_ns = total_ns_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    s.count += s.buckets[i];
   }
   return s;
 }
 
 void LatencyHistogram::merge(const HistogramSnapshot& other) {
-  DASSA_CHECK(count_.load(std::memory_order_relaxed) <=
-                  std::numeric_limits<std::uint64_t>::max() - other.count,
-              "histogram merge would overflow the sample count");
+  DASSA_CHECK(
+      count() <= std::numeric_limits<std::uint64_t>::max() - other.count,
+      "histogram merge would overflow the sample count");
   for (std::size_t i = 0; i < other.buckets.size(); ++i) {
     if (other.buckets[i] != 0) {
       buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
     }
   }
-  count_.fetch_add(other.count, std::memory_order_relaxed);
   total_ns_.fetch_add(other.total_ns, std::memory_order_relaxed);
 }
 
 void LatencyHistogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   total_ns_.store(0, std::memory_order_relaxed);
 }
 

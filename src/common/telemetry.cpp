@@ -2,7 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <ostream>
+#include <string_view>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -10,8 +14,6 @@
 #endif
 #if defined(__linux__)
 #include <unistd.h>
-
-#include <fstream>
 #endif
 
 #include "dassa/common/counters.hpp"
@@ -19,7 +21,7 @@
 #include "dassa/common/log.hpp"
 #include "dassa/common/metrics.hpp"
 #include "dassa/common/trace.hpp"
-#include "json.hpp"
+#include "dassa/common/wire.hpp"
 
 namespace dassa::telemetry {
 
@@ -109,6 +111,16 @@ std::map<std::string, double> read_gauges() {
   return out;
 }
 
+Snapshot collect() {
+  Snapshot s;
+  s.wall_ns = trace::detail::now_ns();
+  s.res = sample_resources();
+  s.counters = global_counters().snapshot();
+  s.gauges = read_gauges();
+  s.hists = global_metrics().snapshot();
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // TelemetrySampler
 // ---------------------------------------------------------------------------
@@ -146,51 +158,36 @@ bool TelemetrySampler::running() const {
 }
 
 void TelemetrySampler::tick() {
-  // One ticker at a time, snapshot through append: without this, a
+  // One ticker at a time, charge through append: without this, a
   // manual tick() racing the background loop could snapshot earlier
-  // counter values but win the race for the later seq, producing a
-  // timeline (and JSONL stream) that violates the monotone-counter
-  // invariant validate_stream enforces.
+  // counter values but append later, producing a timeline whose
+  // counters go backwards.
   MutexLock tick_lock(tick_mu_);
 
   // Charge the sample counter first so the sample we are about to take
-  // already reflects it -- keeps "telemetry.samples == seq + 1"
-  // invariant the deterministic test pins.
+  // already reflects it: consecutive samples differ by exactly one,
+  // which is how a reader spots a gap.
   global_counters().add(counters::kTelemetrySamples);
-
-  Sample s;
-  s.wall_ns = trace::detail::now_ns();
-  s.res = sample_resources();
-  s.counters = global_counters().snapshot();
-  s.gauges = read_gauges();
-  if (cfg_.include_histograms) {
-    for (const auto& [name, h] : global_metrics().snapshot()) {
-      if (h.count == 0) continue;
-      const std::string base = "hist." + name;
-      s.gauges[base + ".count"] = static_cast<double>(h.count);
-      s.gauges[base + ".p50_ns"] = h.quantile_ns(0.50);
-      s.gauges[base + ".p95_ns"] = h.quantile_ns(0.95);
-      s.gauges[base + ".p99_ns"] = h.quantile_ns(0.99);
-    }
-  }
+  Snapshot s = collect();
 
   MutexLock lock(mu_);
+  // Evict the oldest, never the newest: the timeline stays contiguous
+  // (its rules only compare neighbours) and ends at the latest tick.
   if (samples_.size() >= cfg_.max_samples) {
-    ++dropped_;
-    return;
+    samples_.pop_front();
+    ++evicted_;
   }
-  s.seq = next_seq_++;
   samples_.push_back(std::move(s));
 }
 
-std::vector<Sample> TelemetrySampler::timeline() const {
+std::vector<Snapshot> TelemetrySampler::timeline() const {
   MutexLock lock(mu_);
-  return samples_;
+  return {samples_.begin(), samples_.end()};
 }
 
-std::uint64_t TelemetrySampler::dropped() const {
+std::uint64_t TelemetrySampler::evicted() const {
   MutexLock lock(mu_);
-  return dropped_;
+  return evicted_;
 }
 
 void TelemetrySampler::run_loop() {
@@ -208,455 +205,223 @@ void TelemetrySampler::run_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL writer
+// Telemetry file
 // ---------------------------------------------------------------------------
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
+constexpr char kFileMagic[8] = {'D', 'A', 'S', 'T', 'L', 'M', '\0', '\2'};
+
+void put_frame(wire::Encoder& enc, const Snapshot& s) {
+  const std::vector<std::byte> frame = encode_snapshot(s);
+  enc.varint(frame.size());
+  enc.raw(frame.data(), frame.size());
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  out += buf;
-}
-
-void append_counter_map(std::string& out,
-                        const std::map<std::string, std::uint64_t>& m) {
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) out += ',';
-    first = false;
-    jsonio::escape(out, k);
-    out += ':';
-    append_u64(out, v);
+Snapshot get_frame(wire::Decoder& dec) {
+  const std::uint64_t len = dec.varint();
+  if (len > dec.remaining()) throw FormatError("truncated telemetry file");
+  const std::size_t end = dec.position() + static_cast<std::size_t>(len);
+  Snapshot s = decode_snapshot(dec);
+  if (dec.position() != end) {
+    throw FormatError("telemetry frame length disagrees with its snapshot");
   }
-  out += '}';
+  return s;
 }
 
-void append_gauge_map(std::string& out,
-                      const std::map<std::string, double>& m) {
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) out += ',';
-    first = false;
-    jsonio::escape(out, k);
-    out += ':';
-    append_double(out, v);
+/// The work behind a stage row, from counters the producers already
+/// put in every rank frame: bytes moved (a counter times its unit) and
+/// rows retired, both summed over ranks -- except rows_shared ones,
+/// which every rank reports whole (the merged output's rows).
+struct StageWork {
+  std::string_view stage;  ///< the "<ns>.stage.<name>_ns" rank counter
+  const char* bytes;       ///< nullptr: no byte volume for the stage
+  std::uint64_t bytes_unit;
+  const char* rows;
+  bool rows_shared;
+};
+constexpr StageWork kStageWork[] = {
+    {"haee.stage.read_ns", "haee.read_bytes", 1, "haee.rows_owned", false},
+    {"haee.stage.compute_ns", nullptr, 0, "haee.rows_owned", false},
+    {"haee.stage.write_ns", "haee.output_values", sizeof(double),
+     "haee.rows_owned", false},
+    {"io.repack.stage.repack_ns", "io.repack.source_bytes", 1,
+     "io.repack.rows", true},
+};
+
+/// The timeline rules a sampler guarantees: each tick charges
+/// telemetry.samples by one before it collects, the trace clock never
+/// runs backwards, and counters only grow.
+void check_timeline(const std::vector<Snapshot>& timeline) {
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    const Snapshot& prev = timeline[i - 1];
+    const Snapshot& cur = timeline[i];
+    const std::string at = " at sample " + std::to_string(i);
+    if (cur.wall_ns < prev.wall_ns) {
+      throw FormatError("telemetry timeline goes backwards in time" + at);
+    }
+    const std::uint64_t seq = cur.counter(counters::kTelemetrySamples);
+    const std::uint64_t prev_seq = prev.counter(counters::kTelemetrySamples);
+    if (seq != prev_seq + 1) {
+      throw FormatError("telemetry timeline has a sample gap" + at + " (" +
+                        counters::kTelemetrySamples + " " +
+                        std::to_string(prev_seq) + " -> " +
+                        std::to_string(seq) + ")");
+    }
+    for (const auto& [name, value] : cur.counters) {
+      if (value < prev.counter(name)) {
+        throw FormatError("counter '" + name + "' decreases" + at);
+      }
+    }
   }
-  out += '}';
 }
 
 }  // namespace
 
-void write_telemetry_file(std::ostream& os, const TelemetryFile& file) {
-  DASSA_CHECK(os.good(), "telemetry output stream is not writable");
-  std::string line;
-
-  line += "{\"type\":\"meta\",\"schema\":";
-  jsonio::escape(line, kSchemaVersion);
-  for (const auto& [k, v] : file.meta) {
-    if (k == "schema") continue;  // the writer owns the schema stamp
-    line += ',';
-    jsonio::escape(line, k);
-    line += ':';
-    jsonio::escape(line, v);
+std::vector<std::byte> encode_telemetry_file(const TelemetryFile& file) {
+  wire::Encoder enc;
+  enc.raw(kFileMagic, sizeof kFileMagic);
+  enc.varint(file.meta.size());
+  for (const auto& [key, value] : file.meta) {
+    enc.text(key);
+    enc.text(value);
   }
-  line += "}\n";
-  os << line;
-
-  for (const Sample& s : file.samples) {
-    line.clear();
-    line += "{\"type\":\"sample\",\"seq\":";
-    append_u64(line, s.seq);
-    line += ",\"wall_ns\":";
-    append_u64(line, s.wall_ns);
-    line += ",\"rss_bytes\":";
-    append_u64(line, s.res.rss_bytes);
-    line += ",\"peak_rss_bytes\":";
-    append_u64(line, s.res.peak_rss_bytes);
-    line += ",\"user_cpu_ns\":";
-    append_u64(line, s.res.user_cpu_ns);
-    line += ",\"sys_cpu_ns\":";
-    append_u64(line, s.res.sys_cpu_ns);
-    line += ",\"counters\":";
-    append_counter_map(line, s.counters);
-    line += ",\"gauges\":";
-    append_gauge_map(line, s.gauges);
-    line += "}\n";
-    os << line;
-  }
-
-  for (const StageRecord& st : file.stages) {
-    line.clear();
-    line += "{\"type\":\"stage\",\"name\":";
-    jsonio::escape(line, st.name);
-    line += ",\"seconds\":";
-    append_double(line, st.seconds);
-    line += ",\"bytes\":";
-    append_u64(line, st.bytes);
-    line += ",\"rows\":";
-    append_u64(line, st.rows);
-    line += "}\n";
-    os << line;
-  }
-
-  for (const RankRecord& r : file.ranks) {
-    line.clear();
-    line += "{\"type\":\"rank\",\"rank\":";
-    line += std::to_string(r.rank);
-    line += ",\"counters\":";
-    append_counter_map(line, r.counters);
-    line += "}\n";
-    os << line;
-  }
-
-  for (const AggRecord& a : file.aggs) {
-    line.clear();
-    line += "{\"type\":\"agg\",\"counter\":";
-    jsonio::escape(line, a.counter);
-    line += ",\"sum\":";
-    append_u64(line, a.sum);
-    line += ",\"min\":";
-    append_u64(line, a.min);
-    line += ",\"max\":";
-    append_u64(line, a.max);
-    line += ",\"min_rank\":";
-    line += std::to_string(a.min_rank);
-    line += ",\"max_rank\":";
-    line += std::to_string(a.max_rank);
-    line += ",\"imbalance\":";
-    append_double(line, a.imbalance);
-    line += "}\n";
-    os << line;
-  }
-
-  for (const HistRecord& h : file.hists) {
-    line.clear();
-    line += "{\"type\":\"hist\",\"name\":";
-    jsonio::escape(line, h.name);
-    line += ",\"count\":";
-    append_u64(line, h.count);
-    line += ",\"total_ns\":";
-    append_u64(line, h.total_ns);
-    line += ",\"p50_ns\":";
-    append_double(line, h.p50_ns);
-    line += ",\"p95_ns\":";
-    append_double(line, h.p95_ns);
-    line += ",\"p99_ns\":";
-    append_double(line, h.p99_ns);
-    line += ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i != 0) line += ',';
-      append_u64(line, h.buckets[i]);
-    }
-    line += "]}\n";
-    os << line;
-  }
-  os.flush();
+  enc.varint(file.timeline.size());
+  enc.varint(file.ranks.size());
+  for (const Snapshot& s : file.timeline) put_frame(enc, s);
+  for (const Snapshot& s : file.ranks) put_frame(enc, s);
+  enc.u32(wire::crc32(enc.bytes().data(), enc.bytes().size()));
+  return enc.bytes();
 }
 
-// ---------------------------------------------------------------------------
-// JSONL parser
-// ---------------------------------------------------------------------------
-
-namespace {
-
-using JsonValue = jsonio::JsonReader::Value;
-using VT = JsonValue::Type;
-
-[[noreturn]] void line_fail(std::size_t line_no, const std::string& why) {
-  throw FormatError("telemetry line " + std::to_string(line_no) + ": " + why);
-}
-
-const JsonValue& require(const JsonValue& rec, const char* key, VT type,
-                         std::size_t line_no) {
-  const JsonValue* v = rec.find(key);
-  if (v == nullptr || v->type != type) {
-    line_fail(line_no, std::string("missing required field '") + key + "'");
+TelemetryFile decode_telemetry_file(std::span<const std::byte> bytes) {
+  if (bytes.size() < sizeof kFileMagic + sizeof(std::uint32_t) ||
+      std::memcmp(bytes.data(), kFileMagic, sizeof kFileMagic) != 0) {
+    throw FormatError("not a telemetry file (bad magic)");
   }
-  return *v;
-}
-
-std::uint64_t require_u64(const JsonValue& rec, const char* key,
-                          std::size_t line_no) {
-  const double d = require(rec, key, VT::kNumber, line_no).number;
-  if (d < 0) {
-    line_fail(line_no, std::string("field '") + key + "' is negative");
+  const std::span<const std::byte> body =
+      bytes.first(bytes.size() - sizeof(std::uint32_t));
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + body.size(), sizeof stored_crc);
+  if (wire::crc32(body.data(), body.size()) != stored_crc) {
+    throw FormatError("telemetry file CRC mismatch (corrupt or truncated)");
   }
-  return static_cast<std::uint64_t>(d);
-}
 
-std::map<std::string, std::uint64_t> require_counter_map(
-    const JsonValue& rec, const char* key, std::size_t line_no) {
-  const JsonValue& obj = require(rec, key, VT::kObject, line_no);
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [k, v] : obj.obj) {
-    if (v.type != VT::kNumber || v.number < 0) {
-      line_fail(line_no, "counter '" + k + "' is not a non-negative number");
-    }
-    out.emplace(k, static_cast<std::uint64_t>(v.number));
-  }
-  return out;
-}
-
-}  // namespace
-
-TelemetryFile parse_telemetry_jsonl(const std::string& text) {
-  DASSA_CHECK(!text.empty(), "empty telemetry document");
+  wire::Decoder dec(body.subspan(sizeof kFileMagic));
   TelemetryFile file;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    JsonValue rec;
-    try {
-      rec = jsonio::JsonReader(line).parse();
-    } catch (const FormatError& e) {
-      line_fail(line_no, e.what());
-    }
-    if (rec.type != VT::kObject) line_fail(line_no, "record is not an object");
-    const std::string& type = require(rec, "type", VT::kString, line_no).str;
-
-    if (type == "meta") {
-      for (const auto& [k, v] : rec.obj) {
-        if (k == "type") continue;
-        if (v.type != VT::kString) {
-          line_fail(line_no, "meta field '" + k + "' is not a string");
-        }
-        file.meta[k] = v.str;
-      }
-    } else if (type == "sample") {
-      Sample s;
-      s.seq = require_u64(rec, "seq", line_no);
-      s.wall_ns = require_u64(rec, "wall_ns", line_no);
-      s.res.rss_bytes = require_u64(rec, "rss_bytes", line_no);
-      s.res.peak_rss_bytes = require_u64(rec, "peak_rss_bytes", line_no);
-      s.res.user_cpu_ns = require_u64(rec, "user_cpu_ns", line_no);
-      s.res.sys_cpu_ns = require_u64(rec, "sys_cpu_ns", line_no);
-      s.counters = require_counter_map(rec, "counters", line_no);
-      for (const auto& [k, v] :
-           require(rec, "gauges", VT::kObject, line_no).obj) {
-        if (v.type != VT::kNumber) {
-          line_fail(line_no, "gauge '" + k + "' is not a number");
-        }
-        s.gauges.emplace(k, v.number);
-      }
-      file.samples.push_back(std::move(s));
-    } else if (type == "stage") {
-      StageRecord st;
-      st.name = require(rec, "name", VT::kString, line_no).str;
-      st.seconds = require(rec, "seconds", VT::kNumber, line_no).number;
-      st.bytes = require_u64(rec, "bytes", line_no);
-      st.rows = require_u64(rec, "rows", line_no);
-      file.stages.push_back(std::move(st));
-    } else if (type == "rank") {
-      RankRecord r;
-      r.rank =
-          static_cast<int>(require(rec, "rank", VT::kNumber, line_no).number);
-      r.counters = require_counter_map(rec, "counters", line_no);
-      file.ranks.push_back(std::move(r));
-    } else if (type == "agg") {
-      AggRecord a;
-      a.counter = require(rec, "counter", VT::kString, line_no).str;
-      a.sum = require_u64(rec, "sum", line_no);
-      a.min = require_u64(rec, "min", line_no);
-      a.max = require_u64(rec, "max", line_no);
-      a.min_rank = static_cast<int>(
-          require(rec, "min_rank", VT::kNumber, line_no).number);
-      a.max_rank = static_cast<int>(
-          require(rec, "max_rank", VT::kNumber, line_no).number);
-      a.imbalance = require(rec, "imbalance", VT::kNumber, line_no).number;
-      file.aggs.push_back(std::move(a));
-    } else if (type == "hist") {
-      HistRecord h;
-      h.name = require(rec, "name", VT::kString, line_no).str;
-      h.count = require_u64(rec, "count", line_no);
-      h.total_ns = require_u64(rec, "total_ns", line_no);
-      h.p50_ns = require(rec, "p50_ns", VT::kNumber, line_no).number;
-      h.p95_ns = require(rec, "p95_ns", VT::kNumber, line_no).number;
-      h.p99_ns = require(rec, "p99_ns", VT::kNumber, line_no).number;
-      const JsonValue& buckets =
-          require(rec, "buckets", VT::kArray, line_no);
-      if (buckets.arr.size() != h.buckets.size()) {
-        line_fail(line_no, "hist must carry exactly 64 buckets");
-      }
-      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-        if (buckets.arr[i].type != VT::kNumber || buckets.arr[i].number < 0) {
-          line_fail(line_no, "hist bucket is not a non-negative number");
-        }
-        h.buckets[i] = static_cast<std::uint64_t>(buckets.arr[i].number);
-      }
-      file.hists.push_back(std::move(h));
-    } else {
-      line_fail(line_no, "unknown record type '" + type + "'");
+  for (std::uint64_t n_meta = dec.varint(); n_meta > 0; --n_meta) {
+    std::string key = dec.text();
+    if (!file.meta.emplace(std::move(key), dec.text()).second) {
+      throw FormatError("duplicate telemetry meta key");
     }
   }
+  const std::uint64_t n_timeline = dec.varint();
+  const std::uint64_t n_ranks = dec.varint();
+  for (std::uint64_t i = 0; i < n_timeline; ++i) {
+    file.timeline.push_back(get_frame(dec));
+  }
+  for (std::uint64_t i = 0; i < n_ranks; ++i) {
+    file.ranks.push_back(get_frame(dec));
+  }
+  if (dec.remaining() != 0) {
+    throw FormatError("trailing bytes after the telemetry frames");
+  }
+  check_timeline(file.timeline);
   return file;
 }
 
-// ---------------------------------------------------------------------------
-// Validation
-// ---------------------------------------------------------------------------
+void write_telemetry_file(const std::string& path, const TelemetryFile& file) {
+  const std::vector<std::byte> bytes = encode_telemetry_file(file);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw IoError("cannot open telemetry output file: " + path);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out.flush()) throw IoError("cannot write telemetry file: " + path);
+}
 
-void validate_telemetry_file(const TelemetryFile& file) {
-  const auto it = file.meta.find("schema");
-  if (it == file.meta.end()) {
-    throw FormatError("telemetry file has no meta/schema record");
-  }
-  if (it->second != kSchemaVersion) {
-    throw FormatError("unsupported telemetry schema '" + it->second + "'");
-  }
+TelemetryFile read_telemetry_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("cannot open telemetry file: " + path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return decode_telemetry_file(std::as_bytes(std::span(text)));
+}
 
-  // Samples: contiguous sequence, monotone clock, monotone counters.
-  std::map<std::string, std::uint64_t> prev_counters;
-  std::uint64_t prev_wall = 0;
-  for (std::size_t i = 0; i < file.samples.size(); ++i) {
-    const Sample& s = file.samples[i];
-    if (s.seq != i) {
-      throw FormatError("sample " + std::to_string(i) +
-                        " has seq " + std::to_string(s.seq) +
-                        " (sequence must be contiguous from 0)");
-    }
-    if (i > 0 && s.wall_ns < prev_wall) {
-      throw FormatError("sample " + std::to_string(i) +
-                        " goes backwards in time");
-    }
-    prev_wall = s.wall_ns;
-    for (const auto& [name, value] : s.counters) {
-      const auto prev = prev_counters.find(name);
-      if (prev != prev_counters.end() && value < prev->second) {
-        throw FormatError("counter '" + name + "' decreases at sample " +
-                          std::to_string(i));
-      }
-      prev_counters[name] = value;
-    }
-  }
-
-  for (const StageRecord& st : file.stages) {
-    if (st.name.empty()) throw FormatError("stage record has empty name");
-    if (st.seconds < 0) {
-      throw FormatError("stage '" + st.name + "' has negative duration");
-    }
-  }
-
-  // Histograms: the count must equal the bucket sum, exactly.
-  for (const HistRecord& h : file.hists) {
-    std::uint64_t bucket_sum = 0;
-    for (const std::uint64_t b : h.buckets) bucket_sum += b;
-    if (bucket_sum != h.count) {
-      throw FormatError("hist '" + h.name + "' count " +
-                        std::to_string(h.count) +
-                        " != bucket sum " + std::to_string(bucket_sum));
-    }
-  }
-
-  // Aggregates: exactly consistent with the per-rank records. This is
-  // the acceptance criterion with teeth -- the imbalance table cannot
-  // drift from the per-rank totals it claims to summarize.
-  for (const AggRecord& a : file.aggs) {
-    if (file.ranks.empty()) {
-      throw FormatError("agg '" + a.counter + "' with no rank records");
-    }
-    std::uint64_t sum = 0;
-    std::uint64_t mn = 0;
-    std::uint64_t mx = 0;
-    int mn_rank = 0;
-    int mx_rank = 0;
-    bool first = true;
-    for (const RankRecord& r : file.ranks) {
-      const auto rit = r.counters.find(a.counter);
-      const std::uint64_t v = rit == r.counters.end() ? 0 : rit->second;
-      sum += v;
-      if (first || v < mn) {
-        mn = v;
-        mn_rank = r.rank;
-      }
-      if (first || v > mx) {
-        mx = v;
-        mx_rank = r.rank;
-      }
-      first = false;
-    }
-    if (a.sum != sum || a.min != mn || a.max != mx) {
-      throw FormatError("agg '" + a.counter +
-                        "' disagrees with the rank records (sum " +
-                        std::to_string(a.sum) + " vs " + std::to_string(sum) +
-                        ", min " + std::to_string(a.min) + " vs " +
-                        std::to_string(mn) + ", max " + std::to_string(a.max) +
-                        " vs " + std::to_string(mx) + ")");
-    }
-    if (a.min_rank != mn_rank || a.max_rank != mx_rank) {
-      throw FormatError("agg '" + a.counter +
-                        "' names wrong extreme ranks");
-    }
-  }
+std::map<std::string, HistogramSnapshot> final_histograms(
+    const TelemetryFile& file) {
+  if (!file.ranks.empty()) return reduce_ranks(file.ranks).hists;
+  if (!file.timeline.empty()) return file.timeline.back().hists;
+  return {};
 }
 
 // ---------------------------------------------------------------------------
 // Health report
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t final_counter(const TelemetryFile& file,
-                            const std::string& name) {
-  if (file.samples.empty()) return 0;
-  const auto& counters = file.samples.back().counters;
-  const auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
-}
-
-}  // namespace
-
 void write_health_report(std::ostream& os, const TelemetryFile& file) {
   DASSA_CHECK(os.good(), "health report stream is not writable");
   char buf[256];
 
-  os << "== dassa pipeline health (" << kSchemaVersion << ") ==\n";
-  for (const auto& [k, v] : file.meta) {
-    if (k == "schema") continue;
-    os << "  " << k << " = " << v << "\n";
-  }
+  os << "== dassa pipeline health ==\n";
+  for (const auto& [k, v] : file.meta) os << "  " << k << " = " << v << "\n";
 
-  if (!file.stages.empty()) {
-    double total_s = 0.0;
-    for (const StageRecord& st : file.stages) total_s += st.seconds;
-    os << "\nstages:\n";
-    os << "  stage        seconds   share      MB/s        rows/s\n";
-    for (const StageRecord& st : file.stages) {
-      const double share = total_s > 0 ? st.seconds / total_s * 100.0 : 0.0;
-      const double mbs = st.seconds > 0
-                             ? static_cast<double>(st.bytes) / 1e6 / st.seconds
-                             : 0.0;
-      const double rps =
-          st.seconds > 0 ? static_cast<double>(st.rows) / st.seconds : 0.0;
-      std::snprintf(buf, sizeof buf,
-                    "  %-10s %9.3f  %5.1f%%  %8.1f  %12.1f\n",
-                    st.name.c_str(), st.seconds, share, mbs, rps);
+  const ClusterTelemetry cluster = reduce_ranks(file.ranks);
+  const auto cluster_agg = [&cluster](const char* name) {
+    const auto it = cluster.counters.find(name);
+    return it == cluster.counters.end() ? CounterAggregate{} : it->second;
+  };
+  // Stage rows: "<ns>.stage.<name>_ns" rank counters, slowest rank wins
+  // (the paper's figures report the slowest rank's stage times); the
+  // work behind a stage comes from its kStageWork counters.
+  struct StageRow {
+    double seconds = 0.0;
+    std::uint64_t bytes = 0;
+    std::uint64_t rows = 0;
+  };
+  constexpr std::string_view kStage = ".stage.";
+  constexpr std::string_view kNs = "_ns";
+  std::map<std::string, StageRow> stages;
+  double total_s = 0.0;
+  for (const auto& [name, agg] : cluster.counters) {
+    const std::size_t at = name.find(kStage);
+    if (at == std::string::npos || !name.ends_with(kNs)) continue;
+    const std::size_t begin = at + kStage.size();
+    StageRow row;
+    row.seconds = static_cast<double>(agg.max) / 1e9;
+    for (const StageWork& w : kStageWork) {
+      if (w.stage != name) continue;
+      if (w.bytes != nullptr) {
+        row.bytes = cluster_agg(w.bytes).sum * w.bytes_unit;
+      }
+      const CounterAggregate rows = cluster_agg(w.rows);
+      row.rows = w.rows_shared ? rows.max : rows.sum;
+    }
+    stages[name.substr(begin, name.size() - kNs.size() - begin)] = row;
+    total_s += row.seconds;
+  }
+  if (!stages.empty()) {
+    os << "\nstages:\n"
+       << "  stage        seconds   share      MB/s        rows/s\n";
+    for (const auto& [name, row] : stages) {
+      const auto per_s = [&row](double work) {
+        return row.seconds > 0 ? work / row.seconds : 0.0;
+      };
+      std::snprintf(buf, sizeof buf, "  %-10s %9.3f  %5.1f%%  %8.1f  %12.1f\n",
+                    name.c_str(), row.seconds,
+                    total_s > 0 ? row.seconds / total_s * 100.0 : 0.0,
+                    per_s(static_cast<double>(row.bytes) / 1e6),
+                    per_s(static_cast<double>(row.rows)));
       os << buf;
     }
   }
 
-  if (!file.samples.empty()) {
-    const Sample& last = file.samples.back();
+  if (!file.timeline.empty()) {
+    const Snapshot& last = file.timeline.back();
     std::snprintf(buf, sizeof buf,
                   "\nresources (final of %zu samples):\n"
                   "  rss=%.1f MiB peak_rss=%.1f MiB user_cpu=%.2fs "
                   "sys_cpu=%.2fs\n",
-                  file.samples.size(),
+                  file.timeline.size(),
                   static_cast<double>(last.res.rss_bytes) / (1024.0 * 1024.0),
                   static_cast<double>(last.res.peak_rss_bytes) /
                       (1024.0 * 1024.0),
@@ -664,91 +429,83 @@ void write_health_report(std::ostream& os, const TelemetryFile& file) {
                   static_cast<double>(last.res.sys_cpu_ns) / 1e9);
     os << buf;
 
-    const std::uint64_t hits = final_counter(file, "io.cache.hits");
-    const std::uint64_t misses = final_counter(file, "io.cache.misses");
-    const std::uint64_t raw = final_counter(file, "io.codec.bytes_raw");
-    const std::uint64_t stored = final_counter(file, "io.codec.bytes_stored");
-    if (hits + misses > 0 || stored > 0) {
-      os << "\nefficiency:\n";
-      if (hits + misses > 0) {
-        std::snprintf(buf, sizeof buf,
-                      "  cache hit ratio: %.1f%% (%" PRIu64 " hits / %" PRIu64
-                      " lookups)\n",
-                      static_cast<double>(hits) /
-                          static_cast<double>(hits + misses) * 100.0,
-                      hits, hits + misses);
-        os << buf;
-      }
-      if (stored > 0) {
-        std::snprintf(buf, sizeof buf,
-                      "  codec ratio: %.2fx (%" PRIu64 " raw -> %" PRIu64
-                      " stored bytes)\n",
-                      static_cast<double>(raw) / static_cast<double>(stored),
-                      raw, stored);
-        os << buf;
-      }
+    const std::uint64_t hits = last.counter(counters::kIoCacheHits);
+    const std::uint64_t lookups = hits + last.counter(counters::kIoCacheMisses);
+    const std::uint64_t raw = last.counter(counters::kIoCodecBytesRaw);
+    const std::uint64_t stored = last.counter(counters::kIoCodecBytesStored);
+    if (lookups > 0 || stored > 0) os << "\nefficiency:\n";
+    if (lookups > 0) {
+      std::snprintf(buf, sizeof buf,
+                    "  cache hit ratio: %.1f%% (%" PRIu64 " hits / %" PRIu64
+                    " lookups)\n",
+                    static_cast<double>(hits) / static_cast<double>(lookups) *
+                        100.0,
+                    hits, lookups);
+      os << buf;
+    }
+    if (stored > 0) {
+      std::snprintf(buf, sizeof buf,
+                    "  codec ratio: %.2fx (%" PRIu64 " raw -> %" PRIu64
+                    " stored bytes)\n",
+                    static_cast<double>(raw) / static_cast<double>(stored),
+                    raw, stored);
+      os << buf;
     }
   }
 
-  if (!file.aggs.empty()) {
-    os << "\nrank balance (" << file.ranks.size() << " ranks):\n";
-    os << "  counter                        sum        min(rank)"
+  if (!cluster.counters.empty()) {
+    os << "\nrank balance (" << cluster.world_size << " ranks):\n"
+       << "  counter                        sum        min(rank)"
        << "        max(rank)  imbalance\n";
-    for (const AggRecord& a : file.aggs) {
+    for (const auto& [name, a] : cluster.counters) {
       std::snprintf(buf, sizeof buf,
                     "  %-24s %10" PRIu64 " %10" PRIu64 " (r%d) %10" PRIu64
                     " (r%d)      %5.2fx\n",
-                    a.counter.c_str(), a.sum, a.min, a.min_rank, a.max,
-                    a.max_rank, a.imbalance);
+                    name.c_str(), a.sum, a.min, a.min_rank, a.max, a.max_rank,
+                    a.imbalance(cluster.world_size));
       os << buf;
     }
   }
 
-  if (!file.hists.empty()) {
-    os << "\nlatency (cluster-merged):\n";
-    os << "  span                                  count     p50_us"
-       << "     p95_us     p99_us\n";
-    for (const HistRecord& h : file.hists) {
-      std::snprintf(buf, sizeof buf,
-                    "  %-36s %6" PRIu64 " %10.1f %10.1f %10.1f\n",
-                    h.name.c_str(), h.count, h.p50_ns / 1e3, h.p95_ns / 1e3,
-                    h.p99_ns / 1e3);
-      os << buf;
+  bool latency_header = false;
+  for (const auto& [name, h] : final_histograms(file)) {
+    if (h.count == 0) continue;
+    if (!latency_header) {
+      os << (file.ranks.empty() ? "\nlatency (final sample):\n"
+                                : "\nlatency (cluster-merged):\n")
+         << "  span                                  count     p50_us"
+         << "     p95_us     p99_us\n";
+      latency_header = true;
     }
+    std::snprintf(buf, sizeof buf,
+                  "  %-36s %6" PRIu64 " %10.1f %10.1f %10.1f\n",
+                  name.c_str(), h.count, h.quantile_ns(0.50) / 1e3,
+                  h.quantile_ns(0.95) / 1e3, h.quantile_ns(0.99) / 1e3);
+    os << buf;
   }
 
-  // Stall scan: an interval with zero counter progress while spans
-  // were open means work was nominally in flight but nothing retired.
   std::size_t stalls = 0;
-  for (std::size_t i = 1; i < file.samples.size(); ++i) {
-    const Sample& prev = file.samples[i - 1];
-    const Sample& cur = file.samples[i];
-    std::uint64_t progress = 0;
-    for (const auto& [name, value] : cur.counters) {
-      const auto it = prev.counters.find(name);
-      // The sampler's own tick always advances telemetry.samples;
-      // exclude it so a stalled pipeline is not masked by the sampler.
-      if (name == counters::kTelemetrySamples) continue;
-      progress += value - (it == prev.counters.end() ? 0 : it->second);
-    }
-    const auto open_it = cur.gauges.find("trace.open_spans");
-    const bool spans_open =
-        open_it != cur.gauges.end() && open_it->second > 0;
-    if (progress == 0 && spans_open) {
-      ++stalls;
-      std::snprintf(
-          buf, sizeof buf,
-          "WARNING: stall: no counter progress in sample interval %zu -> "
-          "%zu (%.1f ms) while %.0f span(s) open\n",
-          i - 1, i,
-          static_cast<double>(cur.wall_ns - prev.wall_ns) / 1e6,
-          open_it->second);
-      os << buf;
-    }
+  for (std::size_t i = 1; i < file.timeline.size(); ++i) {
+    const Snapshot& prev = file.timeline[i - 1];
+    const Snapshot& cur = file.timeline[i];
+    if (!stall(prev, cur)) continue;
+    ++stalls;
+    std::snprintf(buf, sizeof buf,
+                  "WARNING: stall: no counter progress in sample interval "
+                  "%zu -> %zu (%.1f ms) while %.0f span(s) open\n",
+                  i - 1, i,
+                  static_cast<double>(cur.wall_ns - prev.wall_ns) / 1e6,
+                  cur.gauge("trace.open_spans"));
+    os << buf;
   }
-  if (stalls == 0 && file.samples.size() > 1) {
-    os << "\nno stalls detected across "
-       << file.samples.size() - 1 << " sample intervals\n";
+  if (file.timeline.size() > 1) {
+    os << "\n";
+    if (stalls == 0) {
+      os << "no stalls detected";
+    } else {
+      os << stalls << " stall(s)";
+    }
+    os << " across " << file.timeline.size() - 1 << " sample intervals\n";
   }
 }
 

@@ -1,5 +1,7 @@
 #include "dassa/core/apply.hpp"
 
+#include <algorithm>
+
 #include "dassa/common/counters.hpp"
 #include "dassa/common/thread_pool.hpp"
 #include "dassa/common/trace.hpp"
@@ -62,18 +64,13 @@ Stencil row_stencil(const LocalBlock& block, std::size_t owned_row) {
                  block.owned_local.begin + owned_row, 0, block.global_shape);
 }
 
-// Telemetry progress hooks: one registry add per chunk, so the sampler
-// can tell a busy pipeline from a stalled one without taxing the
-// per-cell hot loop.
-void charge_cells(std::size_t n) {
-  global_counters().add(counters::kTelemetryCellsProcessed,
-                        static_cast<std::uint64_t>(n));
-}
-
-void charge_rows(std::size_t n) {
-  global_counters().add(counters::kTelemetryRowsProcessed,
-                        static_cast<std::uint64_t>(n));
-}
+// Telemetry progress hooks. The sampler tells a busy pipeline from a
+// stalled one by counter movement, so a chunk must charge while it
+// runs, not once at its end (a chunk can outlast many sampler periods).
+// Cells charge every kCellStride cells -- one registry add per stride
+// keeps the per-cell hot loop untaxed -- and rows charge one by one.
+// Totals are the same as one charge per chunk.
+constexpr std::size_t kCellStride = 1024;
 
 }  // namespace
 
@@ -88,10 +85,14 @@ Array2D apply_cells(const LocalBlock& block, const ScalarUdf& udf,
   fork_join(n, threads, [&](std::size_t /*thread*/, std::size_t begin,
                             std::size_t end) {
     DASSA_TRACE_SPAN("haee", "haee.apply_cells_chunk");
-    for (std::size_t i = begin; i < end; ++i) {
-      out.data[i] = udf(stencil_at(block, i));
+    for (std::size_t stride = begin; stride < end; stride += kCellStride) {
+      const std::size_t stop = std::min(end, stride + kCellStride);
+      for (std::size_t i = stride; i < stop; ++i) {
+        out.data[i] = udf(stencil_at(block, i));
+      }
+      global_counters().add(counters::kTelemetryCellsProcessed,
+                            static_cast<std::uint64_t>(stop - stride));
     }
-    charge_cells(end - begin);
   });
   return out;
 }
@@ -104,8 +105,8 @@ Array2D apply_rows(const LocalBlock& block, const RowUdf& udf, int threads) {
     DASSA_TRACE_SPAN("haee", "haee.apply_rows_chunk");
     for (std::size_t r = begin; r < end; ++r) {
       results[r] = udf(row_stencil(block, r));
+      global_counters().add(counters::kTelemetryRowsProcessed);
     }
-    charge_rows(end - begin);
   });
   return rows_from_results(results);
 }

@@ -61,7 +61,7 @@ EngineReport run_engine(
   std::vector<StageTimes> rank_stages(static_cast<std::size_t>(world));
   std::vector<std::uint64_t> rank_peak(static_cast<std::size_t>(world), 0);
   Array2D gathered;
-  mpi::ClusterTelemetry cluster;
+  ClusterTelemetry cluster;
 
   const mpi::RunReport run_report = mpi::Runtime::run(
       world, config.net_cost, [&](mpi::Comm& comm) {
@@ -126,7 +126,8 @@ EngineReport run_engine(
         // Per-rank telemetry cannot come from the process-global
         // counters (rank threads share them); each rank assembles its
         // own view and a real gatherv reduces it onto rank 0.
-        mpi::RankTelemetry mine_t;
+        Snapshot mine_t;
+        mine_t.wall_ns = trace::detail::now_ns();
         mine_t.counters["haee.read_bytes"] = read_bytes;
         mine_t.counters["haee.rows_owned"] = static_cast<std::uint64_t>(
             block.owned_local.end - block.owned_local.begin);
@@ -143,8 +144,7 @@ EngineReport run_engine(
           stage_hist.record_ns(ns);
         }
         mine_t.hists["haee.stage_ns"] = stage_hist.snapshot();
-        mpi::ClusterTelemetry reduced =
-            mpi::reduce_telemetry(comm, mine_t, 0);
+        ClusterTelemetry reduced = mpi::reduce_telemetry(comm, mine_t, 0);
         if (comm.rank() == 0) cluster = std::move(reduced);
       });
 

@@ -10,9 +10,9 @@
 #include "dassa/common/counters.hpp"
 #include "dassa/common/thread_pool.hpp"
 #include "dassa/common/trace.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/io/chunk_cache.hpp"
 #include "dash5_detail.hpp"
-#include "serialize.hpp"
 
 namespace dassa::io {
 
@@ -38,7 +38,7 @@ bool mul_overflows(std::uint64_t a, std::uint64_t b) {
   return b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b;
 }
 
-void encode_kv(detail::Encoder& enc, const KvList& kv) {
+void encode_kv(wire::Encoder& enc, const KvList& kv) {
   enc.u32(static_cast<std::uint32_t>(kv.size()));
   for (const auto& [k, v] : kv.items()) {
     enc.str(k);
@@ -46,7 +46,7 @@ void encode_kv(detail::Encoder& enc, const KvList& kv) {
   }
 }
 
-KvList decode_kv(detail::Decoder& dec) {
+KvList decode_kv(wire::Decoder& dec) {
   KvList kv;
   const std::uint32_t n = dec.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -58,7 +58,7 @@ KvList decode_kv(detail::Decoder& dec) {
 }
 
 std::vector<std::byte> encode_header(const Dash5Header& h) {
-  detail::Encoder enc;
+  wire::Encoder enc;
   encode_kv(enc, h.global);
   enc.u64(h.objects.size());
   for (const auto& obj : h.objects) {
@@ -80,8 +80,8 @@ std::vector<std::byte> encode_header(const Dash5Header& h) {
     }
   }
   std::vector<std::byte> out = enc.bytes();
-  const std::uint32_t crc = detail::crc32(out.data(), out.size());
-  detail::Encoder tail;
+  const std::uint32_t crc = wire::crc32(out.data(), out.size());
+  wire::Encoder tail;
   tail.u32(crc);
   out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
   return out;
@@ -94,10 +94,10 @@ Dash5Header decode_header(const std::vector<std::byte>& raw,
   const std::size_t body = raw.size() - 4;
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, raw.data() + body, 4);
-  if (detail::crc32(raw.data(), body) != stored_crc) {
+  if (wire::crc32(raw.data(), body) != stored_crc) {
     throw FormatError("header CRC mismatch in " + path);
   }
-  detail::Decoder dec(raw);
+  wire::Decoder dec(raw);
   Dash5Header h;
   h.global = decode_kv(dec);
   const std::uint64_t nobj = dec.u64();
@@ -243,7 +243,7 @@ void append_chunk(OutputFile& out, std::vector<ChunkIndexEntry>& index,
   entry.offset = cursor;
   entry.csize = payload.size();
   entry.raw_size = raw_size;
-  entry.crc = detail::crc32(payload.data(), payload.size());
+  entry.crc = wire::crc32(payload.data(), payload.size());
   entry.codec = codec;
   out.write(payload.data(), payload.size());
   index.push_back(entry);
@@ -279,7 +279,7 @@ std::pair<std::vector<std::byte>, std::uint8_t> encode_dash5_tile(
 
 std::vector<std::byte> encode_chunk_index_footer(
     const std::vector<ChunkIndexEntry>& index) {
-  Encoder enc;
+  wire::Encoder enc;
   for (const ChunkIndexEntry& e : index) {
     enc.u64(e.offset);
     enc.u64(e.csize);
@@ -288,9 +288,9 @@ std::vector<std::byte> encode_chunk_index_footer(
     enc.u8(e.codec);
   }
   std::vector<std::byte> out = enc.bytes();
-  const std::uint32_t crc = crc32(out.data(), out.size());
+  const std::uint32_t crc = wire::crc32(out.data(), out.size());
   const std::uint64_t size = out.size();
-  Encoder tail;
+  wire::Encoder tail;
   tail.u32(crc);
   tail.u64(size);
   out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
@@ -604,14 +604,14 @@ void Dash5File::parse_chunk_index() {
   file_.read_at(fsize - kFooterTail, &stored_crc, sizeof stored_crc);
   const std::vector<std::byte> block =
       file_.read_vec(index_start, static_cast<std::size_t>(index_size));
-  if (detail::crc32(block.data(), block.size()) != stored_crc) {
+  if (wire::crc32(block.data(), block.size()) != stored_crc) {
     throw FormatError("chunk index CRC mismatch in " + p);
   }
 
   const std::uint64_t chunk_bytes =
       static_cast<std::uint64_t>(header_.chunk.rows) * header_.chunk.cols *
       dtype_size(header_.dtype);
-  detail::Decoder dec(block);
+  wire::Decoder dec(block);
   index_.reserve(n_chunks);
   // Chunks are densely packed from the data offset: each entry must
   // start exactly where the previous one ended and stay below the
@@ -648,7 +648,7 @@ std::vector<double> Dash5File::decode_chunk(
     std::size_t chunk_idx, std::span<const std::byte> stored) const {
   DASSA_TRACE_SPAN("codec", "codec.decode_chunk");
   const ChunkIndexEntry& e = index_[chunk_idx];
-  if (detail::crc32(stored.data(), stored.size()) != e.crc) {
+  if (wire::crc32(stored.data(), stored.size()) != e.crc) {
     throw FormatError("chunk " + std::to_string(chunk_idx) +
                       " CRC mismatch in " + file_.path());
   }

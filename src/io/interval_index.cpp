@@ -6,8 +6,8 @@
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/io/file_io.hpp"
-#include "serialize.hpp"
 
 namespace dassa::io {
 
@@ -58,7 +58,7 @@ IntervalIndex IntervalIndex::build(std::vector<IntervalEntry> entries) {
 
 void IntervalIndex::save(const std::string& path) const {
   DASSA_CHECK(!path.empty(), "interval index save needs a path");
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u64(entries_.size());
   for (const IntervalEntry& e : entries_) {
     enc.u64(static_cast<std::uint64_t>(e.begin_s));
@@ -68,7 +68,7 @@ void IntervalIndex::save(const std::string& path) const {
     enc.u64(e.cols);
   }
   const std::vector<std::byte>& body = enc.bytes();
-  const std::uint32_t crc = detail::crc32(body.data(), body.size());
+  const std::uint32_t crc = wire::crc32(body.data(), body.size());
 
   OutputFile out(path);
   out.write(kTixMagic, sizeof kTixMagic);
@@ -113,11 +113,11 @@ IntervalIndex IntervalIndex::load(const std::string& path) {
       in.read_vec(16, static_cast<std::size_t>(size));
   std::uint32_t stored_crc = 0;
   in.read_at(16 + size, &stored_crc, sizeof stored_crc);
-  if (detail::crc32(body.data(), body.size()) != stored_crc) {
+  if (wire::crc32(body.data(), body.size()) != stored_crc) {
     throw FormatError("interval-index CRC mismatch in " + path);
   }
 
-  detail::Decoder dec(body);
+  wire::Decoder dec(body);
   const std::uint64_t n = dec.u64();
   // Each entry occupies exactly kEntryBytes, so any larger count is a
   // corrupted length -- reject it before reserve() turns it into a

@@ -9,12 +9,12 @@
 #include "dassa/common/thread_pool.hpp"
 #include "dassa/common/timer.hpp"
 #include "dassa/common/trace.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/io/chunk_cache.hpp"
 #include "dassa/io/file_io.hpp"
 #include "dassa/io/vca.hpp"
 #include "dassa/mpi/runtime.hpp"
 #include "dash5_detail.hpp"
-#include "serialize.hpp"
 
 namespace dassa::io {
 
@@ -194,7 +194,7 @@ RepackReport parallel_repack(mpi::Comm& comm,
       e.offset = cursor;
       e.csize = owned[k].payload.size();
       e.raw_size = tile_raw_size;
-      e.crc = detail::crc32(owned[k].payload.data(),
+      e.crc = wire::crc32(owned[k].payload.data(),
                             owned[k].payload.size());
       e.codec = owned[k].codec;
       cursor += e.csize;

@@ -8,7 +8,7 @@
 #include "dassa/common/counters.hpp"
 #include "dassa/common/sync.hpp"
 #include "dassa/common/timer.hpp"
-#include "serialize.hpp"
+#include "dassa/common/wire.hpp"
 
 namespace dassa::io {
 
@@ -111,7 +111,7 @@ Vca Vca::build(const std::vector<std::string>& files) {
 }
 
 void Vca::save(const std::string& path) const {
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(static_cast<std::uint32_t>(global_.size()));
   for (const auto& [k, v] : global_.items()) {
     enc.str(k);
@@ -124,7 +124,7 @@ void Vca::save(const std::string& path) const {
     enc.u64(m.shape.cols);
   }
   const std::vector<std::byte>& body = enc.bytes();
-  const std::uint32_t crc = detail::crc32(body.data(), body.size());
+  const std::uint32_t crc = wire::crc32(body.data(), body.size());
 
   OutputFile out(path);
   out.write(kVcaMagic, sizeof kVcaMagic);
@@ -153,11 +153,11 @@ Vca Vca::load(const std::string& path) {
       in.read_vec(16, static_cast<std::size_t>(size));
   std::uint32_t stored_crc = 0;
   in.read_at(16 + size, &stored_crc, sizeof stored_crc);
-  if (detail::crc32(body.data(), body.size()) != stored_crc) {
+  if (wire::crc32(body.data(), body.size()) != stored_crc) {
     throw FormatError("VCA CRC mismatch in " + path);
   }
 
-  detail::Decoder dec(body);
+  wire::Decoder dec(body);
   Vca vca;
   const std::uint32_t nkv = dec.u32();
   for (std::uint32_t i = 0; i < nkv; ++i) {

@@ -1,17 +1,15 @@
 #include "dassa/serve/protocol.hpp"
 
 #include "dassa/common/error.hpp"
-#include "../io/serialize.hpp"
+#include "dassa/common/wire.hpp"
 
 namespace dassa::serve {
-
-namespace io_detail = dassa::io::detail;
 
 namespace {
 
 /// Every decode must consume the frame exactly: trailing bytes mean a
 /// framing bug (or an attack), not padding.
-void check_fully_consumed(const io_detail::Decoder& dec,
+void check_fully_consumed(const wire::Decoder& dec,
                           const std::vector<std::byte>& frame) {
   if (dec.position() != frame.size()) {
     throw FormatError("trailing bytes after serve message");
@@ -21,7 +19,7 @@ void check_fully_consumed(const io_detail::Decoder& dec,
 }  // namespace
 
 std::vector<std::byte> encode_request(const ReadRequest& req) {
-  io_detail::Encoder enc;
+  wire::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(MsgType::kReadRequest));
   enc.u64(req.id);
   enc.u8(static_cast<std::uint8_t>(req.addressing));
@@ -39,7 +37,7 @@ std::vector<std::byte> encode_request(const ReadRequest& req) {
 
 ReadRequest decode_request(const std::vector<std::byte>& frame) {
   if (frame.empty()) throw FormatError("empty serve frame");
-  io_detail::Decoder dec(frame);
+  wire::Decoder dec(frame);
   if (static_cast<MsgType>(dec.u8()) != MsgType::kReadRequest) {
     throw FormatError("unexpected serve message type (want read request)");
   }
@@ -64,7 +62,7 @@ ReadRequest decode_request(const std::vector<std::byte>& frame) {
 }
 
 std::vector<std::byte> encode_response(const ReadResponse& resp) {
-  io_detail::Encoder enc;
+  wire::Encoder enc;
   if (!resp.ok) {
     enc.u8(static_cast<std::uint8_t>(MsgType::kError));
     enc.u64(resp.id);
@@ -86,7 +84,7 @@ std::vector<std::byte> encode_response(const ReadResponse& resp) {
 
 ReadResponse decode_response(const std::vector<std::byte>& frame) {
   if (frame.empty()) throw FormatError("empty serve frame");
-  io_detail::Decoder dec(frame);
+  wire::Decoder dec(frame);
   const auto type = static_cast<MsgType>(dec.u8());
   ReadResponse resp;
   if (type == MsgType::kError) {

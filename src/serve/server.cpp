@@ -175,7 +175,7 @@ void Server::reader_loop(std::shared_ptr<ClientConn> client) {
       }
       global_counters().add(counters::kStatsRequests);
       const std::vector<std::byte> reply =
-          encode_stats(collect_process_stats());
+          encode_stats(telemetry::collect());
       try {
         MutexLock lock(client->write_mu);
         client->conn.send_frame(reply);

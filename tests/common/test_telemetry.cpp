@@ -1,12 +1,13 @@
-// Telemetry tests: deterministic sampling via tick(), the JSONL
-// schema round-trip through the in-tree parser, the validator's teeth,
+// Telemetry tests: deterministic sampling via tick(), the telemetry
+// file round-trip through the strict reader and the reader's teeth,
 // gauge registration, histogram merging, quantile interpolation, and
-// the health report's stall detector.
+// the run report's stall detector.
 #include "dassa/common/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -24,20 +25,17 @@ TEST(TelemetrySampler, ManualTicksAreDeterministic) {
   TelemetrySampler sampler;
   for (int i = 0; i < 5; ++i) sampler.tick();
 
-  const std::vector<Sample> timeline = sampler.timeline();
+  const std::vector<Snapshot> timeline = sampler.timeline();
   ASSERT_EQ(timeline.size(), 5u);
   for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const Sample& s = timeline[i];
-    EXPECT_EQ(s.seq, i);
     // tick() charges the sample counter before snapshotting, so every
     // sample already includes itself.
-    ASSERT_TRUE(s.counters.count(counters::kTelemetrySamples));
-    EXPECT_EQ(s.counters.at(counters::kTelemetrySamples), s.seq + 1);
+    EXPECT_EQ(timeline[i].counter(counters::kTelemetrySamples), i + 1);
     if (i > 0) {
-      EXPECT_GE(s.wall_ns, timeline[i - 1].wall_ns);
+      EXPECT_GE(timeline[i].wall_ns, timeline[i - 1].wall_ns);
     }
   }
-  EXPECT_EQ(sampler.dropped(), 0u);
+  EXPECT_EQ(sampler.evicted(), 0u);
 }
 
 TEST(TelemetrySampler, SamplesSeeCounterProgress) {
@@ -47,19 +45,45 @@ TEST(TelemetrySampler, SamplesSeeCounterProgress) {
   global_counters().add(counters::kIoReadBytes, 4096);
   sampler.tick();
 
-  const std::vector<Sample> timeline = sampler.timeline();
+  const std::vector<Snapshot> timeline = sampler.timeline();
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_EQ(timeline[0].counters.count(counters::kIoReadBytes), 0u);
   EXPECT_EQ(timeline[1].counters.at(counters::kIoReadBytes), 4096u);
 }
 
 TEST(TelemetrySampler, TimelineCapDropsExtraTicks) {
+  global_counters().reset();
   SamplerConfig cfg;
   cfg.max_samples = 2;
   TelemetrySampler sampler(cfg);
   for (int i = 0; i < 5; ++i) sampler.tick();
-  EXPECT_EQ(sampler.timeline().size(), 2u);
-  EXPECT_EQ(sampler.dropped(), 3u);
+  // The oldest ticks go; the newest two stay.
+  const std::vector<Snapshot> timeline = sampler.timeline();
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[0].counter(counters::kTelemetrySamples), 4u);
+  EXPECT_EQ(timeline[1].counter(counters::kTelemetrySamples), 5u);
+  EXPECT_EQ(sampler.evicted(), 3u);
+}
+
+TEST(TelemetrySampler, FullTimelineStillEndsWithTheFinalSnapshot) {
+  // A daemon outliving max_samples ticks once more at shutdown; the
+  // exported file's final histograms must be that exact state.
+  SamplerConfig cfg;
+  cfg.max_samples = 3;
+  TelemetrySampler sampler(cfg);
+  LatencyHistogram& h = global_metrics().histogram("telemetry_test.final");
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    h.record_ns(1000 * (i + 1));
+    sampler.tick();
+  }
+  TelemetryFile file;
+  file.timeline = sampler.timeline();
+  const TelemetryFile back =
+      decode_telemetry_file(encode_telemetry_file(file));  // still valid
+  ASSERT_EQ(back.timeline.size(), 3u);
+  EXPECT_EQ(final_histograms(back).at("telemetry_test.final"),
+            global_metrics().snapshot().at("telemetry_test.final"));
+  EXPECT_EQ(final_histograms(back).at("telemetry_test.final").count, 10u);
 }
 
 TEST(TelemetrySampler, RejectsNonPositivePeriod) {
@@ -85,26 +109,25 @@ TEST(TelemetrySampler, BackgroundThreadSamplesAndStops) {
   sampler.stop();
   EXPECT_FALSE(sampler.running());
 
-  const std::vector<Sample> timeline = sampler.timeline();
+  const std::vector<Snapshot> timeline = sampler.timeline();
   ASSERT_GE(timeline.size(), 3u);
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    EXPECT_EQ(timeline[i].seq, i);
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    EXPECT_EQ(timeline[i].counter(counters::kTelemetrySamples),
+              timeline[i - 1].counter(counters::kTelemetrySamples) + 1);
   }
   // stop() is idempotent and the timeline is frozen afterwards.
   sampler.stop();
   EXPECT_EQ(sampler.timeline().size(), timeline.size());
 }
 
-TEST(TelemetrySampler, HistogramPercentilesFoldIntoGauges) {
-  global_metrics().histogram("telemetry_test.fold").record_ns(1 << 10);
+TEST(TelemetrySampler, SamplesCarryExactHistograms) {
+  global_metrics().histogram("telemetry_test.exact").record_ns(1 << 10);
   TelemetrySampler sampler;
   sampler.tick();
-  const Sample s = sampler.timeline().back();
-  EXPECT_TRUE(s.gauges.count("hist.telemetry_test.fold.count"));
-  EXPECT_TRUE(s.gauges.count("hist.telemetry_test.fold.p50_ns"));
-  EXPECT_TRUE(s.gauges.count("hist.telemetry_test.fold.p95_ns"));
-  EXPECT_TRUE(s.gauges.count("hist.telemetry_test.fold.p99_ns"));
-  EXPECT_GE(s.gauges.at("hist.telemetry_test.fold.count"), 1.0);
+  const Snapshot s = sampler.timeline().back();
+  const HistogramSnapshot& h = s.hists.at("telemetry_test.exact");
+  EXPECT_GE(h.buckets[10], 1u);
+  EXPECT_EQ(h, global_metrics().snapshot().at("telemetry_test.exact"));
 }
 
 // ---- gauges and resources --------------------------------------------
@@ -186,7 +209,7 @@ TEST(TelemetryMetrics, RegistryMergeAndReset) {
   EXPECT_EQ(snap.at("b").count, 0u);
 }
 
-// ---- JSONL round trip ------------------------------------------------
+// ---- telemetry file round trip ----------------------------------------
 
 TelemetryFile make_file() {
   TelemetryFile file;
@@ -194,8 +217,7 @@ TelemetryFile make_file() {
   file.meta["pipeline"] = "similarity";
 
   for (std::uint64_t i = 0; i < 3; ++i) {
-    Sample s;
-    s.seq = i;
+    Snapshot s;
     s.wall_ns = 1000 * (i + 1);
     s.res.rss_bytes = 1 << 20;
     s.res.peak_rss_bytes = 2 << 20;
@@ -205,169 +227,132 @@ TelemetryFile make_file() {
     s.counters["telemetry.samples"] = i + 1;
     s.gauges["trace.open_spans"] = 0.0;
     s.gauges["io.pool.queue_depth"] = static_cast<double>(i);
-    file.samples.push_back(std::move(s));
+    file.timeline.push_back(std::move(s));
   }
 
-  file.stages.push_back({"read", 0.5, std::uint64_t{1} << 20, 128u});
-  file.stages.push_back({"compute", 1.5, 0u, 128u});
-
-  RankRecord r0;
-  r0.rank = 0;
-  r0.counters["haee.rows_owned"] = 100;
-  RankRecord r1;
-  r1.rank = 1;
-  r1.counters["haee.rows_owned"] = 300;
-  file.ranks = {r0, r1};
-
-  AggRecord agg;
-  agg.counter = "haee.rows_owned";
-  agg.sum = 400;
-  agg.min = 100;
-  agg.max = 300;
-  agg.min_rank = 0;
-  agg.max_rank = 1;
-  agg.imbalance = 1.5;
-  file.aggs.push_back(agg);
-
-  HistRecord h;
-  h.name = "haee.stage_ns";
-  h.count = 7;
-  h.total_ns = 12345;
-  h.p50_ns = 1000.0;
-  h.p95_ns = 2000.0;
-  h.p99_ns = 3000.0;
-  h.buckets[3] = 4;
-  h.buckets[10] = 3;
-  file.hists.push_back(h);
+  // Two ranks: stage clocks, an imbalanced counter, and a histogram.
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    Snapshot rank;
+    rank.counters["haee.rows_owned"] = 100 + 200 * r;
+    rank.counters["haee.read_bytes"] = 4'000'000 * (r + 1);
+    rank.counters["haee.stage.read_ns"] = 500'000'000;
+    rank.counters["haee.stage.compute_ns"] = 1'000'000'000 + 500'000'000 * r;
+    HistogramSnapshot h;
+    h.buckets[3] = 2 + r;
+    h.buckets[10] = 1 + r;
+    h.count = h.buckets[3] + h.buckets[10];
+    h.total_ns = 1000 * (r + 1);
+    rank.hists["haee.stage_ns"] = h;
+    file.ranks.push_back(std::move(rank));
+  }
   return file;
 }
 
-TEST(TelemetryJsonl, RoundTripPreservesEveryRecord) {
+/// Encode, then decode through the strict reader.
+TelemetryFile round_trip(const TelemetryFile& file) {
+  return decode_telemetry_file(encode_telemetry_file(file));
+}
+
+TEST(TelemetryFile, RoundTripPreservesEveryRecord) {
   const TelemetryFile file = make_file();
-  std::ostringstream os;
-  write_telemetry_file(os, file);
+  EXPECT_EQ(round_trip(file), file);
 
-  const TelemetryFile back = parse_telemetry_jsonl(os.str());
-  EXPECT_EQ(back.meta.at("schema"), kSchemaVersion);
-  EXPECT_EQ(back.meta.at("tool"), "test");
-  EXPECT_EQ(back.meta.at("pipeline"), "similarity");
-
-  ASSERT_EQ(back.samples.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(back.samples[i].seq, file.samples[i].seq);
-    EXPECT_EQ(back.samples[i].wall_ns, file.samples[i].wall_ns);
-    EXPECT_EQ(back.samples[i].res.rss_bytes, file.samples[i].res.rss_bytes);
-    EXPECT_EQ(back.samples[i].res.user_cpu_ns,
-              file.samples[i].res.user_cpu_ns);
-    EXPECT_EQ(back.samples[i].counters, file.samples[i].counters);
-    EXPECT_EQ(back.samples[i].gauges, file.samples[i].gauges);
-  }
-
-  ASSERT_EQ(back.stages.size(), 2u);
-  EXPECT_EQ(back.stages[0].name, "read");
-  EXPECT_DOUBLE_EQ(back.stages[0].seconds, 0.5);
-  EXPECT_EQ(back.stages[0].bytes, 1u << 20);
-  EXPECT_EQ(back.stages[0].rows, 128u);
-
-  ASSERT_EQ(back.ranks.size(), 2u);
-  EXPECT_EQ(back.ranks[1].counters.at("haee.rows_owned"), 300u);
-
-  ASSERT_EQ(back.aggs.size(), 1u);
-  EXPECT_EQ(back.aggs[0].sum, 400u);
-  EXPECT_EQ(back.aggs[0].max_rank, 1);
-  EXPECT_DOUBLE_EQ(back.aggs[0].imbalance, 1.5);
-
-  ASSERT_EQ(back.hists.size(), 1u);
-  EXPECT_EQ(back.hists[0].count, 7u);
-  EXPECT_EQ(back.hists[0].buckets[3], 4u);
-  EXPECT_EQ(back.hists[0].buckets[10], 3u);
-
-  // The round-tripped file satisfies the validator.
-  validate_telemetry_file(back);
+  // Through the file system too, as the tools use it.
+  const std::string path =
+      ::testing::TempDir() + "/telemetry_round_trip.tlm";
+  write_telemetry_file(path, file);
+  EXPECT_EQ(read_telemetry_file(path), file);
+  EXPECT_THROW((void)read_telemetry_file(path + ".absent"), IoError);
 }
 
-TEST(TelemetryJsonl, ParserRejectsGarbage) {
-  EXPECT_THROW((void)parse_telemetry_jsonl("not json\n"), FormatError);
-  EXPECT_THROW((void)parse_telemetry_jsonl("{\"type\":\"wat\"}\n"),
-               FormatError);
-  EXPECT_THROW((void)parse_telemetry_jsonl("{\"no_type\":1}\n"),
-               FormatError);
-  EXPECT_THROW(  // sample without its required fields
-      (void)parse_telemetry_jsonl("{\"type\":\"sample\",\"seq\":0}\n"),
-      FormatError);
-  try {
-    (void)parse_telemetry_jsonl("{\"type\":\"meta\"}\nboom\n");
-    FAIL() << "expected FormatError";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
+TEST(TelemetryFile, DerivesAggregatesAndMergedHistograms) {
+  const ClusterTelemetry cluster = reduce_ranks(make_file().ranks);
+  ASSERT_EQ(cluster.world_size, 2);
+  const CounterAggregate& rows = cluster.counters.at("haee.rows_owned");
+  EXPECT_EQ(rows.sum, 400u);
+  EXPECT_EQ(rows.min, 100u);
+  EXPECT_EQ(rows.min_rank, 0);
+  EXPECT_EQ(rows.max, 300u);
+  EXPECT_EQ(rows.max_rank, 1);
+  EXPECT_DOUBLE_EQ(rows.imbalance(cluster.world_size), 1.5);
+
+  const HistogramSnapshot& merged = cluster.hists.at("haee.stage_ns");
+  EXPECT_EQ(merged.count, 8u);  // 3 + 5: the bucket sum
+  EXPECT_EQ(merged.buckets[3], 5u);
+  EXPECT_EQ(merged.buckets[10], 3u);
+  EXPECT_EQ(final_histograms(make_file()).at("haee.stage_ns"), merged);
 }
 
-// ---- validator teeth -------------------------------------------------
+TEST(TelemetryFile, ParserRejectsGarbage) {
+  const auto decode = [](const std::string& text) {
+    return decode_telemetry_file(std::as_bytes(std::span(text)));
+  };
+  EXPECT_THROW((void)decode(""), FormatError);
+  EXPECT_THROW((void)decode("not a telemetry file"), FormatError);
+  // A line of the replaced JSONL format is not read.
+  EXPECT_THROW((void)decode("{\"type\":\"meta\",\"schema\":"
+                            "\"dassa.telemetry.v1\"}\n"),
+               FormatError);
+}
+
+// ---- reader teeth ----------------------------------------------------
 
 TEST(TelemetryValidate, RejectsMissingOrWrongSchema) {
-  TelemetryFile file;
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
-  file.meta["schema"] = "dassa.telemetry.v999";
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
-  file.meta["schema"] = kSchemaVersion;
-  validate_telemetry_file(file);  // minimal but valid
+  std::vector<std::byte> bytes = encode_telemetry_file(TelemetryFile{});
+  EXPECT_EQ(decode_telemetry_file(bytes), TelemetryFile{});  // minimal
+  bytes[7] = std::byte{1};  // the format version byte of the magic
+  EXPECT_THROW((void)decode_telemetry_file(bytes), FormatError);
 }
 
 TEST(TelemetryValidate, RejectsSeqGapAndTimeTravel) {
   TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.samples[2].seq = 7;
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
+  file.timeline[2].counters["telemetry.samples"] = 7;  // 2 -> 7: a gap
+  EXPECT_THROW((void)round_trip(file), FormatError);
 
   file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.samples[2].wall_ns = 1;  // earlier than sample 1
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
+  file.timeline[2].wall_ns = 1;  // earlier than sample 1
+  EXPECT_THROW((void)round_trip(file), FormatError);
 }
 
 TEST(TelemetryValidate, RejectsDecreasingCounter) {
   TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.samples[2].counters["io.read_bytes"] = 1;  // below sample 1
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
+  file.timeline[2].counters["io.read_bytes"] = 1;  // below sample 1
+  EXPECT_THROW((void)round_trip(file), FormatError);
 }
 
-TEST(TelemetryValidate, RejectsHistCountBucketMismatch) {
-  TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.hists[0].count = 99;  // buckets sum to 7
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
-}
-
-TEST(TelemetryValidate, RejectsAggInconsistentWithRanks) {
-  TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.aggs[0].sum = 401;
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
-
-  file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.aggs[0].max_rank = 0;  // rank 1 holds the max
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
-
-  file = make_file();
-  file.meta["schema"] = kSchemaVersion;
-  file.ranks.clear();  // aggregates with nothing to back them
-  EXPECT_THROW(validate_telemetry_file(file), FormatError);
+TEST(TelemetryValidate, RejectsTruncationAndFlippedBytes) {
+  const std::vector<std::byte> bytes = encode_telemetry_file(make_file());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(
+        (void)decode_telemetry_file(std::span(bytes).first(len)),
+        FormatError)
+        << "len=" << len;
+  }
+  std::vector<std::byte> padded = bytes;
+  padded.push_back(std::byte{0});
+  EXPECT_THROW((void)decode_telemetry_file(padded), FormatError);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::byte> flipped = bytes;
+    flipped[i] ^= std::byte{0x5a};
+    EXPECT_THROW((void)decode_telemetry_file(flipped), FormatError)
+        << "byte " << i;
+  }
 }
 
 // ---- health report ---------------------------------------------------
 
 TEST(TelemetryHealth, ReportCoversStagesRanksAndLatency) {
-  TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
   std::ostringstream os;
-  write_health_report(os, file);
+  write_health_report(os, make_file());
   const std::string report = os.str();
   EXPECT_NE(report.find("dassa pipeline health"), std::string::npos);
   EXPECT_NE(report.find("stages:"), std::string::npos);
-  EXPECT_NE(report.find("read"), std::string::npos);
+  // Stage seconds are the slowest rank's: compute took 1.5 s on rank 1.
+  EXPECT_NE(report.find("compute        1.500"), std::string::npos) << report;
+  // read: 12 MB and 400 rows over the slowest rank's 0.5 s.
+  EXPECT_NE(report.find("read           0.500   25.0%      24.0         800.0"),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("rank balance (2 ranks)"), std::string::npos);
   EXPECT_NE(report.find("haee.rows_owned"), std::string::npos);
   EXPECT_NE(report.find("latency (cluster-merged)"), std::string::npos);
@@ -377,18 +362,36 @@ TEST(TelemetryHealth, ReportCoversStagesRanksAndLatency) {
 
 TEST(TelemetryHealth, FlagsIntervalWithOpenSpansButNoProgress) {
   TelemetryFile file = make_file();
-  file.meta["schema"] = kSchemaVersion;
   // Sample 1 -> 2: counters frozen (except the sampler's own), spans
   // open. That is the definition of a stall.
-  file.samples[2].counters = file.samples[1].counters;
-  file.samples[2].counters["telemetry.samples"] =
-      file.samples[1].counters.at("telemetry.samples") + 1;
-  file.samples[2].gauges["trace.open_spans"] = 2.0;
-  validate_telemetry_file(file);  // still schema-valid
+  file.timeline[2].counters = file.timeline[1].counters;
+  file.timeline[2].counters["telemetry.samples"] =
+      file.timeline[1].counters.at("telemetry.samples") + 1;
+  file.timeline[2].gauges["trace.open_spans"] = 2.0;
+  EXPECT_TRUE(stall(file.timeline[1], file.timeline[2]));
+  EXPECT_FALSE(stall(file.timeline[0], file.timeline[1]));
 
   std::ostringstream os;
-  write_health_report(os, file);
+  write_health_report(os, round_trip(file));  // still a valid file
   EXPECT_NE(os.str().find("WARNING: stall"), std::string::npos);
+  EXPECT_NE(os.str().find("1 stall(s) across 2 sample intervals"),
+            std::string::npos);
+}
+
+TEST(TelemetryHealth, QueuedWorkWithoutProgressIsAStall) {
+  Snapshot prev;
+  prev.counters["serve.responses"] = 5;
+  prev.counters["stats.requests"] = 1;
+  prev.counters["serve.bytes_sent"] = 300;
+  Snapshot cur = prev;
+  cur.counters["stats.requests"] = 2;  // the poller's own traffic:
+  cur.counters["serve.bytes_sent"] = 600;  // its reply frame counts too
+  cur.gauges["serve.queue.depth"] = 3.0;
+  EXPECT_TRUE(stall(prev, cur));
+  cur.counters["serve.responses"] = 6;
+  EXPECT_FALSE(stall(prev, cur));
+  cur = prev;  // nothing in flight: idle, not stalled
+  EXPECT_FALSE(stall(prev, cur));
 }
 
 }  // namespace

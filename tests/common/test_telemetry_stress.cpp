@@ -2,7 +2,8 @@
 // worker threads hammer the counter registry, the metrics histograms,
 // and the gauge registry. Run under TSan by scripts/check.sh; the
 // assertions here are about invariants that must survive the races
-// (contiguous seq, monotone counters within the timeline).
+// (consecutive telemetry.samples, monotone counters within the
+// timeline, every snapshot encodable and decodable).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -59,18 +60,21 @@ TEST(TelemetryStress, SamplerRacesCountersHistogramsAndGauges) {
   for (auto& w : workers) w.join();
   sampler.stop();
 
-  const std::vector<Sample> timeline = sampler.timeline();
+  const std::vector<Snapshot> timeline = sampler.timeline();
   ASSERT_GE(timeline.size(), 50u);
-  std::uint64_t prev_rows = 0;
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    EXPECT_EQ(timeline[i].seq, i);
-    const auto it =
-        timeline[i].counters.find(counters::kTelemetryRowsProcessed);
-    if (it != timeline[i].counters.end()) {
-      EXPECT_GE(it->second, prev_rows);
-      prev_rows = it->second;
-    }
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    const Snapshot& prev = timeline[i - 1];
+    const Snapshot& cur = timeline[i];
+    EXPECT_EQ(cur.counters.at(counters::kTelemetrySamples),
+              prev.counters.at(counters::kTelemetrySamples) + 1);
+    EXPECT_GE(cur.counter(counters::kTelemetryRowsProcessed),
+              prev.counter(counters::kTelemetryRowsProcessed));
   }
+  // The timeline, histograms racing their recorders included, passes
+  // the telemetry file reader's rules.
+  TelemetryFile file;
+  file.timeline = timeline;
+  EXPECT_NO_THROW((void)decode_telemetry_file(encode_telemetry_file(file)));
 }
 
 }  // namespace

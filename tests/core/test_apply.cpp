@@ -1,12 +1,21 @@
 // Apply operator tests: apply_cells and apply_rows must give the same
 // output at every thread count as at one thread (the inline serial
-// reference), on cell and row UDFs, including blocks with ghost rows.
+// reference), on cell and row UDFs, including blocks with ghost rows;
+// and the operators' progress charges keep the telemetry stall rule
+// quiet on a healthy run while it still flags a wedged UDF.
 #include "dassa/core/apply.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <latch>
 #include <random>
+#include <thread>
+
+#include "dassa/common/counters.hpp"
+#include "dassa/common/telemetry.hpp"
+#include "dassa/common/trace.hpp"
 
 namespace dassa::core {
 namespace {
@@ -209,6 +218,88 @@ TEST(ApplyTest, EmptyOwnedRegionGivesEmptyOutput) {
       apply_cells(block, [](const Stencil&) { return 1.0; }, 1);
   EXPECT_EQ(out.shape.rows, 0u);
   EXPECT_TRUE(out.data.empty());
+}
+
+// ---- progress charges vs the stall rule ---------------------------
+
+std::size_t count_stalls(const std::vector<Snapshot>& timeline) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    if (stall(timeline[i - 1], timeline[i])) ++n;
+  }
+  return n;
+}
+
+/// Runs `body` with span tracing on (the stall rule needs open spans)
+/// under a sampler ticking every `period`; returns the timeline.
+template <typename Body>
+std::vector<Snapshot> sampled(std::chrono::milliseconds period, Body body) {
+  trace::set_enabled(true);
+  telemetry::TelemetrySampler sampler(telemetry::SamplerConfig{period});
+  sampler.tick();
+  sampler.start();
+  body();
+  sampler.stop();
+  sampler.tick();
+  trace::set_enabled(false);
+  return sampler.timeline();
+}
+
+TEST(ApplyProgressTest, HealthyComputeBoundRunShowsNoStalls) {
+  // ~1 us of wall-clock work per cell over 1024 x 1024 cells: every
+  // thread's chunk (1 s at 1 thread, 0.26 s at 4) outlasts the 100 ms
+  // sampler period several times over, so only charges made inside a
+  // chunk can show progress in every interval. The period is ~100x the
+  // ~1 ms charge stride, so a stall needs every worker descheduled for
+  // most of an interval -- not something a loaded host or TSan does.
+  const Array2D a(Shape2D{1024, 1024});
+  const ScalarUdf busy = [](const Stencil&) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return 1.0;
+  };
+  for (const int threads : {1, 4}) {
+    const std::uint64_t cells_before =
+        global_counters().get(counters::kTelemetryCellsProcessed);
+    const std::vector<Snapshot> timeline =
+        sampled(std::chrono::milliseconds(100), [&] {
+          (void)apply_cells(LocalBlock::whole(a), busy, threads);
+        });
+    ASSERT_GE(timeline.size(), 3u) << threads << " threads";
+    EXPECT_EQ(count_stalls(timeline), 0u) << threads << " threads";
+    // Charging in strides leaves the total unchanged.
+    EXPECT_EQ(global_counters().get(counters::kTelemetryCellsProcessed) -
+                  cells_before,
+              a.data.size());
+  }
+}
+
+TEST(ApplyProgressTest, ParkedUdfIsFlaggedAsStall) {
+  // A UDF parked on a latch while the sampler ticks: a span is open
+  // and nothing retires, which is exactly what the rule must flag.
+  const Array2D a(Shape2D{2, 8});
+  std::latch parked(1);
+  std::latch release(1);
+  const ScalarUdf wedged = [&](const Stencil& s) {
+    if (s.channel() == 0 && s.time() == 0) {
+      parked.count_down();
+      release.wait();
+    }
+    return 0.0;
+  };
+  const std::vector<Snapshot> timeline =
+      sampled(std::chrono::milliseconds(5), [&] {
+        std::thread worker(
+            [&] { (void)apply_cells(LocalBlock::whole(a), wedged, 1); });
+        parked.wait();
+        // Several sampler periods with the UDF parked.
+        std::this_thread::sleep_for(std::chrono::milliseconds(60));
+        release.count_down();
+        worker.join();
+      });
+  EXPECT_GE(count_stalls(timeline), 1u);
 }
 
 }  // namespace

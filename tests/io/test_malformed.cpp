@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "../../src/io/serialize.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/io/dash5.hpp"
 #include "dassa/io/vca.hpp"
 #include "testing/tmpdir.hpp"
@@ -145,12 +145,12 @@ TEST(MalformedDash5Test, CorruptedObjectCountDoesNotAllocate) {
   const std::string path = dir.file("bomb.dh5");
   healthy_dash5(path);
 
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);                          // empty global kv
   enc.u64(std::uint64_t{1} << 60);     // object count bomb
   std::vector<std::byte> body = enc.bytes();
-  const std::uint32_t crc = detail::crc32(body.data(), body.size());
-  detail::Encoder tail;
+  const std::uint32_t crc = wire::crc32(body.data(), body.size());
+  wire::Encoder tail;
   tail.u32(crc);
   body.insert(body.end(), tail.bytes().begin(), tail.bytes().end());
 
@@ -227,7 +227,7 @@ FooterView footer_of(const std::vector<char>& bytes) {
 /// Recompute the footer CRC after a deliberate index mutation.
 void fix_index_crc(std::vector<char>& bytes) {
   const FooterView v = footer_of(bytes);
-  const std::uint32_t crc = detail::crc32(
+  const std::uint32_t crc = wire::crc32(
       reinterpret_cast<const std::byte*>(bytes.data()) + v.index_start,
       v.index_size);
   std::memcpy(bytes.data() + v.crc_pos, &crc, sizeof crc);
@@ -434,7 +434,7 @@ TEST(MalformedDash5V3Test, UnknownHeaderCodecIdIsRejected) {
   const std::size_t head_start = 16;
   const std::size_t body = static_cast<std::size_t>(head_size) - 4;
   bytes[head_start + body - 1] = 99;  // last codec id
-  const std::uint32_t crc = detail::crc32(
+  const std::uint32_t crc = wire::crc32(
       reinterpret_cast<const std::byte*>(bytes.data()) + head_start, body);
   std::memcpy(bytes.data() + head_start + body, &crc, sizeof crc);
   spit(path, bytes);
@@ -456,7 +456,7 @@ TEST(MalformedDash5V3Test, EmptyCodecChainInHeaderIsRejected) {
   const std::size_t head_start = 16;
   const std::size_t body = static_cast<std::size_t>(head_size) - 4;
   bytes[head_start + body - 3] = 0;  // chain length (2 ids follow)
-  const std::uint32_t crc = detail::crc32(
+  const std::uint32_t crc = wire::crc32(
       reinterpret_cast<const std::byte*>(bytes.data()) + head_start, body);
   std::memcpy(bytes.data() + head_start + body, &crc, sizeof crc);
   spit(path, bytes);
@@ -565,7 +565,7 @@ void write_vca_container(const std::string& path,
   const std::uint64_t size = body.size();
   std::memcpy(bytes.data() + 8, &size, sizeof size);
   std::memcpy(bytes.data() + 16, body.data(), body.size());
-  const std::uint32_t crc = detail::crc32(body.data(), body.size());
+  const std::uint32_t crc = wire::crc32(body.data(), body.size());
   std::memcpy(bytes.data() + 16 + body.size(), &crc, sizeof crc);
   spit(path, bytes);
 }
@@ -573,7 +573,7 @@ void write_vca_container(const std::string& path,
 TEST(MalformedVcaTest, MemberCountBombDoesNotAllocate) {
   TmpDir dir("malformed");
   const std::string path = dir.file("bomb.vca");
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);                       // no global kv
   enc.u64(std::uint64_t{1} << 59);  // member count bomb
   write_vca_container(path, enc.bytes());
@@ -589,7 +589,7 @@ TEST(MalformedVcaTest, MemberCountBombDoesNotAllocate) {
 TEST(MalformedVcaTest, ZeroMembersIsRejected) {
   TmpDir dir("malformed");
   const std::string path = dir.file("empty.vca");
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);
   enc.u64(0);
   write_vca_container(path, enc.bytes());
@@ -605,7 +605,7 @@ TEST(MalformedVcaTest, ZeroMembersIsRejected) {
 TEST(MalformedVcaTest, InconsistentMemberRowsIsRejected) {
   TmpDir dir("malformed");
   const std::string path = dir.file("rows.vca");
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);
   enc.u64(2);
   enc.str("a.dh5");
@@ -630,7 +630,7 @@ TEST(MalformedVcaTest, TotalWidthOverflowIsRejected) {
   TmpDir dir("malformed");
   const std::string path = dir.file("width.vca");
   const std::uint64_t half = std::numeric_limits<std::uint64_t>::max() / 2 + 1;
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);
   enc.u64(2);
   enc.str("a.dh5");
@@ -649,7 +649,7 @@ TEST(MalformedVcaTest, MissingMemberFileSurfacesAsIoErrorOnRead) {
   // not crash.
   TmpDir dir("malformed");
   const std::string path = dir.file("ghost.vca");
-  detail::Encoder enc;
+  wire::Encoder enc;
   enc.u32(0);
   enc.u64(1);
   enc.str(dir.file("missing.dh5"));

@@ -1,6 +1,7 @@
-// Cross-rank telemetry reduction: exact aggregate math over a real
-// 4-rank MiniMPI world. Every assertion here is an equality -- the
-// reduction is a gather of integers, so nothing is approximate.
+// Cross-rank telemetry reduction: a real gatherv of Snapshot frames over
+// a 4-rank MiniMPI world, and the exact aggregate math derived from
+// them. Every assertion here is an equality -- the reduction is a
+// gather of integers, so nothing is approximate.
 #include "dassa/mpi/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,7 @@ TEST(TelemetryReduce, FourRankAggregatesAreExact) {
   Runtime::run(4, [](Comm& comm) {
     const auto rank = static_cast<std::uint64_t>(comm.rank());
 
-    RankTelemetry mine;
+    Snapshot mine;
     mine.counters["haee.rows_owned"] = (rank + 1) * 1000;
     if (comm.rank() == 1) mine.counters["haee.halo_exchanges"] = 7;
 
@@ -37,6 +38,8 @@ TEST(TelemetryReduce, FourRankAggregatesAreExact) {
     }
 
     ASSERT_EQ(cluster.per_rank.size(), 4u);
+    // Each rank's frame arrives exactly as it was sent.
+    EXPECT_EQ(cluster.per_rank[static_cast<std::size_t>(comm.rank())], mine);
     for (int r = 0; r < 4; ++r) {
       EXPECT_EQ(cluster.per_rank[static_cast<std::size_t>(r)].counters.at(
                     "haee.rows_owned"),
@@ -75,7 +78,7 @@ TEST(TelemetryReduce, FourRankAggregatesAreExact) {
 
 TEST(TelemetryReduce, ZeroCounterHasUnitImbalance) {
   Runtime::run(2, [](Comm& comm) {
-    RankTelemetry mine;
+    Snapshot mine;
     mine.counters["haee.runs"] = 0;
     const ClusterTelemetry cluster = reduce_telemetry(comm, mine, 0);
     if (comm.rank() != 0) return;
@@ -87,7 +90,7 @@ TEST(TelemetryReduce, ZeroCounterHasUnitImbalance) {
 
 TEST(TelemetryReduce, NonZeroRootCollects) {
   Runtime::run(3, [](Comm& comm) {
-    RankTelemetry mine;
+    Snapshot mine;
     mine.counters["haee.rows_owned"] =
         static_cast<std::uint64_t>(comm.rank()) + 1;
     const ClusterTelemetry cluster = reduce_telemetry(comm, mine, 2);

@@ -97,6 +97,35 @@ TEST(ServeBatcher, SliceFromUnionExtractsExactRows) {
   EXPECT_EQ(piece, (std::vector<double>{7, 8, 12, 13}));
 }
 
+TEST(ServeBatcher, LaterSlabStartingHigherKeepsTheUnionTall) {
+  // The second slab in sweep order starts 16 rows above the first:
+  // the union is rows [16, 64), and each member sliced out of one
+  // union read equals a direct read of that member.
+  const std::vector<Slab2D> slabs = {slab(32, 0, 32, 2048),
+                                     slab(16, 100, 32, 2048)};
+  const std::vector<BatchGroup> groups = coalesce(slabs, 0);
+  ASSERT_EQ(groups.size(), 1u);
+  const Slab2D span = groups[0].span;
+  EXPECT_EQ(span, slab(16, 0, 48, 2148));
+
+  // A synthetic archive: value = row * 10000 + col, read directly.
+  const auto read = [](const Slab2D& s) {
+    std::vector<double> out;
+    out.reserve(s.size());
+    for (std::size_t r = s.row_off; r < s.row_off + s.row_cnt; ++r) {
+      for (std::size_t c = s.col_off; c < s.col_off + s.col_cnt; ++c) {
+        out.push_back(static_cast<double>(r * 10000 + c));
+      }
+    }
+    return out;
+  };
+  const std::vector<double> union_data = read(span);
+  for (const Slab2D& member : slabs) {
+    EXPECT_EQ(slice_from_union(union_data, span, member), read(member))
+        << member.str();
+  }
+}
+
 TEST(ServeBatcher, SliceWholeSpanIsIdentity) {
   const Slab2D span = slab(0, 0, 2, 3);
   const std::vector<double> data = {1, 2, 3, 4, 5, 6};

@@ -1,5 +1,5 @@
-// Live introspection (serve/stats.hpp): kStats wire-format round-trip
-// and malformed-frame rejection, the pinned regression that every
+// Live introspection (serve/stats.hpp): kStats v2 round-trip and
+// malformed-frame rejection, the pinned regression that every
 // serve.lat.* stage histogram records exactly once per answered
 // request, the das_ingest-style StatsListener, and a concurrency
 // stress of kStats polls against a server under load (runs under the
@@ -15,6 +15,8 @@
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
 #include "dassa/common/metrics.hpp"
+#include "dassa/common/telemetry.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/das/synth.hpp"
 #include "dassa/io/vca.hpp"
@@ -65,19 +67,22 @@ serve::ServeConfig base_config(const TmpDir& dir,
 }
 
 /// A synthetic snapshot exercising every wire-format section.
-serve::StatsSnapshot sample_snapshot() {
-  serve::StatsSnapshot s;
+Snapshot sample_snapshot() {
+  Snapshot s;
   s.wall_ns = 123456789;
   s.counters["io.read_calls"] = 42;
   s.counters["serve.requests"] = 7;
   s.counters["zero.counter"] = 0;
   s.gauges["ingest.queue.depth"] = 3.0;
   s.gauges["negative.gauge"] = -1.5;
+  s.res.rss_bytes = 1 << 20;
+  s.res.peak_rss_bytes = 3 << 20;
+  s.res.user_cpu_ns = 7;
   HistogramSnapshot h;
   h.buckets[0] = 2;
   h.buckets[17] = 5;
   h.buckets[63] = 1;
-  h.count = 8;
+  h.count = 8;  // the bucket sum, as every producer derives it
   h.total_ns = 90000;
   s.hists["serve.request"] = h;
   s.hists["empty.hist"] = HistogramSnapshot{};
@@ -90,23 +95,16 @@ std::uint64_t hist_count(const char* name) {
   return it == snap.end() ? 0 : it->second.count;
 }
 
-/// Counter lookup defaulting to 0: registry entries appear on first
-/// charge, so a pre-traffic snapshot legitimately lacks serve.*.
-std::uint64_t counter_of(const serve::StatsSnapshot& s, const char* name) {
-  const auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
-
 }  // namespace
 
 TEST(ServeStats, RoundTripPreservesEverySection) {
-  const serve::StatsSnapshot s = sample_snapshot();
-  const serve::StatsSnapshot back = serve::decode_stats(serve::encode_stats(s));
+  const Snapshot s = sample_snapshot();
+  const Snapshot back = serve::decode_stats(serve::encode_stats(s));
   EXPECT_EQ(back, s);
 }
 
 TEST(ServeStats, EmptySnapshotRoundTrips) {
-  serve::StatsSnapshot s;
+  Snapshot s;
   s.wall_ns = 1;
   EXPECT_EQ(serve::decode_stats(serve::encode_stats(s)), s);
 }
@@ -143,10 +141,12 @@ TEST(ServeStats, ForgedFramesAreRejected) {
   frame = serve::encode_stats(sample_snapshot());
   frame[1] = std::byte{0xff};
   EXPECT_THROW(serve::decode_stats(frame), FormatError);
+  frame[1] = std::byte{1};  // a version 1 frame is not read either
+  EXPECT_THROW(serve::decode_stats(frame), FormatError);
 
   // Out-of-order section names: swap the two counter names' first
   // bytes so they decode out of ascending order.
-  serve::StatsSnapshot s;
+  Snapshot s;
   s.counters["aaa"] = 1;
   s.counters["bbb"] = 2;
   frame = serve::encode_stats(s);
@@ -169,70 +169,125 @@ TEST(ServeStats, ForgedFramesAreRejected) {
   }
   EXPECT_THROW(serve::decode_stats(swapped), FormatError);
 
-  // Histogram whose bucket sum disagrees with its declared count.
-  serve::StatsSnapshot sh;
-  HistogramSnapshot h;
-  h.buckets[3] = 4;
-  h.count = 4;
-  h.total_ns = 100;
-  sh.hists["h"] = h;
-  frame = serve::encode_stats(sh);
-  // The count field sits right after the 1-byte name "h" preceded by
-  // its u32 length; corrupt the count by locating its encoded value.
-  bool corrupted = false;
-  for (std::size_t i = 0; i + 8 <= frame.size(); ++i) {
-    std::uint64_t v;
-    std::memcpy(&v, frame.data() + i, 8);
-    if (v == 4) {
-      v = 5;
-      std::memcpy(frame.data() + i, &v, 8);
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
-  EXPECT_THROW(serve::decode_stats(frame), FormatError);
+  // Hand-built v2 frames: type byte, then the snapshot header (version,
+  // wall clock, four resource varints) and whatever sections follow.
+  const auto forged = [](auto&& sections) {
+    wire::Encoder enc;
+    enc.u8(static_cast<std::uint8_t>(serve::MsgType::kStatsOk));
+    enc.u32(kSnapshotVersion);
+    for (int i = 0; i < 5; ++i) enc.varint(0);
+    sections(enc);
+    return enc.bytes();
+  };
+  const auto one_hist = [&](std::uint8_t nonzero, std::uint8_t index0,
+                            std::uint64_t value0, std::uint8_t index1,
+                            std::uint64_t value1) {
+    return forged([&](wire::Encoder& enc) {
+      enc.varint(0);  // counters
+      enc.varint(0);  // gauges
+      enc.varint(1);  // histograms
+      enc.varint(1);
+      enc.raw("h", 1);
+      enc.varint(100);  // total_ns
+      enc.u8(nonzero);
+      enc.u8(index0);
+      enc.varint(value0);
+      if (nonzero > 1) {
+        enc.u8(index1);
+        enc.varint(value1);
+      }
+    });
+  };
+  // The well-formed twin decodes; each forgery below differs in one
+  // field.
+  EXPECT_EQ(serve::decode_stats(one_hist(2, 3, 4, 9, 1)).hists.at("h").count,
+            5u);
+  // Bucket sum past 2^64: the derived count would wrap.
+  EXPECT_THROW(serve::decode_stats(one_hist(2, 3, ~std::uint64_t{0}, 9, 1)),
+               FormatError);
+  // A zero entry contradicts the sparse encoding.
+  EXPECT_THROW(serve::decode_stats(one_hist(2, 3, 4, 9, 0)), FormatError);
+  // Bucket indexes out of order, repeated, or past the 64 bins.
+  EXPECT_THROW(serve::decode_stats(one_hist(2, 9, 4, 3, 1)), FormatError);
+  EXPECT_THROW(serve::decode_stats(one_hist(2, 3, 4, 3, 1)), FormatError);
+  EXPECT_THROW(serve::decode_stats(one_hist(1, 64, 4, 0, 0)), FormatError);
+  // More bucket entries than bins.
+  EXPECT_THROW(serve::decode_stats(one_hist(65, 3, 4, 9, 1)), FormatError);
+  // A non-canonical varint (a redundant zero group).
+  EXPECT_THROW(serve::decode_stats(forged([](wire::Encoder& enc) {
+                 enc.u8(0x80);
+                 enc.u8(0x00);
+                 enc.varint(0);
+                 enc.varint(0);
+               })),
+               FormatError);
 
-  // Entry-count ceiling enforced before allocation: forge a counters
-  // section claiming 2^31 entries.
-  serve::StatsSnapshot empty;
-  frame = serve::encode_stats(empty);
-  // Layout: type(1) version(4) wall(8) counters_n(4) ...
-  const std::uint32_t huge = 1u << 31;
-  std::memcpy(frame.data() + 13, &huge, 4);
-  EXPECT_THROW(serve::decode_stats(frame), FormatError);
+  // Entry-count ceiling enforced before allocation: a counters section
+  // claiming 2^31 entries.
+  EXPECT_THROW(serve::decode_stats(forged([](wire::Encoder& enc) {
+                 enc.varint(std::uint64_t{1} << 31);
+               })),
+               FormatError);
+  // An empty or oversized metric name.
+  EXPECT_THROW(serve::decode_stats(forged([](wire::Encoder& enc) {
+                 enc.varint(1);
+                 enc.varint(0);
+                 enc.varint(7);
+                 enc.varint(0);
+                 enc.varint(0);
+               })),
+               FormatError);
+  EXPECT_THROW(serve::decode_stats(forged([](wire::Encoder& enc) {
+                 enc.varint(1);
+                 enc.varint(kMaxSnapshotNameBytes + 1);
+                 const std::string name(kMaxSnapshotNameBytes + 1, 'n');
+                 enc.raw(name.data(), name.size());
+                 enc.varint(7);
+                 enc.varint(0);
+                 enc.varint(0);
+               })),
+               FormatError);
 }
 
 TEST(ServeStats, TornSnapshotIsReconciledBeforeEncoding) {
-  // A live LatencyHistogram updates count_ and buckets_ as separate
-  // relaxed atomics, so a registry snapshot taken against concurrent
-  // record_ns() can legitimately disagree with itself in either
-  // direction. The encoding side must reconcile (count := bucket sum)
-  // so a daemon under load never emits a frame its own strict decoder
-  // would refuse.
-  serve::StatsSnapshot torn;
-  HistogramSnapshot ahead;  // count incremented, bucket not yet seen
+  // A histogram's count is its bucket sum by construction: the frame
+  // carries no count, so a snapshot whose count disagrees with its
+  // buckets (what a separate count atomic used to produce under
+  // concurrent record_ns()) cannot reach the wire -- the decoder
+  // rebuilds the count from the buckets.
+  Snapshot torn;
+  HistogramSnapshot ahead;
   ahead.buckets[5] = 3;
   ahead.count = 4;
   ahead.total_ns = 100;
   torn.hists["count.ahead"] = ahead;
-  HistogramSnapshot behind;  // bucket incremented, count not yet seen
-  behind.buckets[2] = 7;
-  behind.count = 6;
-  behind.total_ns = 200;
-  torn.hists["count.behind"] = behind;
-
-  EXPECT_THROW(serve::decode_stats(serve::encode_stats(torn)), FormatError);
-  serve::reconcile_torn_histograms(torn);
-  const serve::StatsSnapshot back =
-      serve::decode_stats(serve::encode_stats(torn));
+  const Snapshot back = serve::decode_stats(serve::encode_stats(torn));
   EXPECT_EQ(back.hists.at("count.ahead").count, 3u);
-  EXPECT_EQ(back.hists.at("count.behind").count, 7u);
-  // collect_process_stats applies the same reconciliation, so the live
-  // path always produces a decodable frame.
-  EXPECT_NO_THROW(
-      (void)serve::decode_stats(serve::encode_stats(
-          serve::collect_process_stats())));
+
+  // A live process snapshot taken while recorders hammer a histogram
+  // always encodes to a frame the strict decoder accepts, with the
+  // count equal to the bucket sum.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 2; ++t) {
+    recorders.emplace_back([&stop] {
+      std::uint64_t i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        global_metrics().histogram("serve_stats.torn").record_ns(++i % 4096);
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    const Snapshot live =
+        serve::decode_stats(serve::encode_stats(telemetry::collect()));
+    const auto it = live.hists.find("serve_stats.torn");
+    if (it == live.hists.end()) continue;
+    std::uint64_t sum = 0;
+    for (const std::uint64_t b : it->second.buckets) sum += b;
+    EXPECT_EQ(it->second.count, sum);
+  }
+  stop.store(true);
+  for (auto& t : recorders) t.join();
 }
 
 TEST(ServeStats, ListenerStartFailureLeavesDestructorSafe) {
@@ -256,7 +311,8 @@ TEST(ServeStats, ListenerReapsFinishedConnections) {
   constexpr std::size_t kPollers = 32;
   for (std::size_t i = 0; i < kPollers; ++i) {
     serve::Connection conn = serve::connect_local(listener.path());
-    EXPECT_EQ(serve::fetch_stats(conn).version, serve::kStatsVersion);
+    EXPECT_TRUE(serve::fetch_stats(conn).counters.contains(
+        counters::kStatsRequests));
   }
   EXPECT_LT(listener.tracked_connections(), kPollers / 2);
   listener.stop();
@@ -270,8 +326,10 @@ TEST(ServeStats, LiveServerAnswersStatsInline) {
   server.start();
 
   serve::Connection poll = serve::connect_local(server.config().socket_path);
-  const serve::StatsSnapshot before = serve::fetch_stats(poll);
-  EXPECT_EQ(before.version, serve::kStatsVersion);
+  const Snapshot before = serve::fetch_stats(poll);
+#if defined(__linux__)
+  EXPECT_GT(before.res.peak_rss_bytes, 0u);  // resources ride along
+#endif
   EXPECT_TRUE(before.counters.contains(counters::kStatsRequests));
   // The admission-queue depth gauge is registered by the server, not
   // the tool, so every kStats client sees it.
@@ -288,29 +346,28 @@ TEST(ServeStats, LiveServerAnswersStatsInline) {
   // just AFTER the reply frame hits the socket, so a fast poller can
   // legitimately sample before the 5th record lands. Poll until the
   // accounting catches up (bounded), then pin the exact totals.
-  const auto request_delta = [&](const serve::StatsSnapshot& s) {
+  const auto request_delta = [&](const Snapshot& s) {
     const auto& h_after = s.hists.at(serve::lat::kRequest);
     const auto it = before.hists.find(serve::lat::kRequest);
     return it == before.hists.end() ? h_after : h_after.diff(it->second);
   };
-  serve::StatsSnapshot after = serve::fetch_stats(poll);
-  for (int i = 0; i < 200 &&
-                  (counter_of(after, counters::kServeResponses) -
-                           counter_of(before, counters::kServeResponses) <
-                       5u ||
-                   request_delta(after).count < 5u);
+  Snapshot after = serve::fetch_stats(poll);
+  const auto responses = [&before](const Snapshot& s) {
+    return s.counter(counters::kServeResponses) -
+           before.counter(counters::kServeResponses);
+  };
+  for (int i = 0;
+       i < 200 && (responses(after) < 5u || request_delta(after).count < 5u);
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     after = serve::fetch_stats(poll);
   }
   EXPECT_GE(after.wall_ns, before.wall_ns);
-  EXPECT_EQ(counter_of(after, counters::kServeResponses) -
-                counter_of(before, counters::kServeResponses),
-            5u);
+  EXPECT_EQ(responses(after), 5u);
   // Stats polls are counted but are NOT admitted requests: the
   // admission pipeline's accounting must not move on their behalf.
-  EXPECT_GE(counter_of(after, counters::kStatsRequests),
-            counter_of(before, counters::kStatsRequests) + 1);
+  EXPECT_GE(after.counter(counters::kStatsRequests),
+            before.counter(counters::kStatsRequests) + 1);
 
   // Interval view: the end-to-end histogram diff covers exactly the 5
   // requests between the polls.
@@ -402,8 +459,7 @@ TEST(ServeStats, StatsListenerServesAndRefuses) {
   serve::Connection conn = serve::connect_local(listener.path());
   const std::uint64_t base_bad =
       global_counters().get(counters::kStatsBadFrames);
-  const serve::StatsSnapshot s = serve::fetch_stats(conn);
-  EXPECT_EQ(s.version, serve::kStatsVersion);
+  const Snapshot s = serve::fetch_stats(conn);
   EXPECT_TRUE(s.counters.contains(counters::kStatsRequests));
 
   // Garbage gets a typed kBadRequest refusal, and the connection stays
@@ -454,7 +510,7 @@ TEST(ServeStats, ConcurrentStatsPollsDuringLoad) {
           serve::connect_local(server.config().socket_path);
       std::uint64_t last_responses = 0;
       while (!done.load()) {
-        serve::StatsSnapshot s;
+        Snapshot s;
         try {
           s = serve::fetch_stats(conn);
         } catch (const Error&) {
@@ -462,9 +518,7 @@ TEST(ServeStats, ConcurrentStatsPollsDuringLoad) {
           return;
         }
         // Monotonicity across one poller's consecutive snapshots.
-        const auto it = s.counters.find(counters::kServeResponses);
-        const std::uint64_t responses =
-            it == s.counters.end() ? 0 : it->second;
+        const std::uint64_t responses = s.counter(counters::kServeResponses);
         if (responses < last_responses) failures.fetch_add(1);
         last_responses = responses;
       }

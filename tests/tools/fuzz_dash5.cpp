@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "../../src/io/serialize.hpp"
 #include "dassa/common/error.hpp"
+#include "dassa/common/wire.hpp"
 #include "dassa/io/dash5.hpp"
 #include "dassa/io/vca.hpp"
 
@@ -222,7 +222,7 @@ bool mutate_v3_index(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng,
   } else {
     bytes[p] = static_cast<std::uint8_t>(rng());
   }
-  const std::uint32_t crc = dassa::io::detail::crc32(
+  const std::uint32_t crc = dassa::wire::crc32(
       reinterpret_cast<const std::byte*>(bytes.data()) + index_start,
       static_cast<std::size_t>(index_size));
   std::memcpy(bytes.data() + bytes.size() - 20, &crc, sizeof crc);

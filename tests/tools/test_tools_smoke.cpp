@@ -193,10 +193,10 @@ TEST_F(ToolsSmokeTest, GenerateWithCodecEmitsReadableV3Files) {
 }
 
 TEST_F(ToolsSmokeTest, AnalyzeTelemetryProducesValidHealthFile) {
-  // The acceptance run: >= 4 ranks, telemetry JSONL out, then the file
-  // must round-trip through the in-process schema validator and its
-  // aggregate rows must exactly equal the per-rank totals.
-  const std::string tele = dir_->file("run.telemetry.jsonl");
+  // The acceptance run: >= 4 ranks, telemetry file out, then the file
+  // must read back through the strict reader with one snapshot per
+  // rank, from which the cluster view is derived.
+  const std::string tele = dir_->file("run.tlm");
   ASSERT_EQ(run(tools_dir() + "/das_analyze --dir " + dir_->str() +
                 " --pipeline similarity --window-half 4 --lag-half 2 "
                 "--nodes 4 --cores 2 --telemetry " + tele +
@@ -204,72 +204,46 @@ TEST_F(ToolsSmokeTest, AnalyzeTelemetryProducesValidHealthFile) {
                 dir_->file("tele_out.dh5")),
             0);
 
-  std::ifstream in(tele);
-  ASSERT_TRUE(in.good());
-  std::ostringstream text;
-  text << in.rdbuf();
-  const telemetry::TelemetryFile file =
-      telemetry::parse_telemetry_jsonl(text.str());
-  telemetry::validate_telemetry_file(file);
-
-  EXPECT_EQ(file.meta.at("schema"), telemetry::kSchemaVersion);
+  const telemetry::TelemetryFile file = telemetry::read_telemetry_file(tele);
   EXPECT_EQ(file.meta.at("tool"), "das_analyze");
   EXPECT_EQ(file.meta.at("world_size"), "4");
   ASSERT_EQ(file.ranks.size(), 4u);
-  ASSERT_FALSE(file.samples.empty());
-  ASSERT_FALSE(file.stages.empty());
-  ASSERT_FALSE(file.aggs.empty());
+  ASSERT_FALSE(file.timeline.empty());
 
-  // Cross-check every aggregate against the per-rank records (the
-  // validator did too -- this spells the acceptance criterion out).
-  for (const telemetry::AggRecord& agg : file.aggs) {
-    std::uint64_t sum = 0;
-    for (const telemetry::RankRecord& r : file.ranks) {
-      const auto it = r.counters.find(agg.counter);
-      if (it != r.counters.end()) sum += it->second;
-    }
-    EXPECT_EQ(agg.sum, sum) << agg.counter;
-    EXPECT_GE(agg.imbalance, 1.0) << agg.counter;
+  const ClusterTelemetry cluster = reduce_ranks(file.ranks);
+  EXPECT_EQ(cluster.counters.at("haee.rows_owned").sum,
+            16u);  // every channel owned exactly once
+  for (const char* stage : {"haee.stage.read_ns", "haee.stage.compute_ns"}) {
+    EXPECT_GT(cluster.counters.at(stage).max, 0u) << stage;
   }
-  bool saw_rows = false;
-  for (const telemetry::AggRecord& agg : file.aggs) {
-    if (agg.counter == "haee.rows_owned") {
-      saw_rows = true;
-      EXPECT_EQ(agg.sum, 16u);  // every channel owned exactly once
-    }
+  for (const auto& [name, agg] : cluster.counters) {
+    EXPECT_GE(agg.imbalance(cluster.world_size), 1.0) << name;
   }
-  EXPECT_TRUE(saw_rows);
+  // Merged stage histogram: one stage clock per rank and stage.
+  EXPECT_GE(cluster.hists.at("haee.stage_ns").count, 8u);
 
-  // Merged stage histogram: per-rank clocks, bucket sum == count.
-  ASSERT_FALSE(file.hists.empty());
-  for (const telemetry::HistRecord& h : file.hists) {
-    std::uint64_t bucket_sum = 0;
-    for (const std::uint64_t b : h.buckets) bucket_sum += b;
-    EXPECT_EQ(bucket_sum, h.count) << h.name;
-  }
-
-  // das_health accepts the same file, both modes.
-  EXPECT_EQ(run(tools_dir() + "/das_health " + tele + " --validate-only"),
-            0);
-  EXPECT_EQ(run(tools_dir() + "/das_health " + tele), 0);
-  EXPECT_EQ(run(tools_dir() + "/das_health " + dir_->file("absent.jsonl")),
+  // das_top --file checks the same file and renders its report.
+  EXPECT_EQ(run(tools_dir() + "/das_top --file " + tele), 0);
+  EXPECT_EQ(run(tools_dir() + "/das_top --file " + dir_->file("absent.tlm")),
             1);
-  EXPECT_EQ(run(tools_dir() + "/das_health"), 2);
+  EXPECT_EQ(run(tools_dir() + "/das_top"), 2);
 
-  // Corrupt one aggregate: das_health must now reject the file.
-  std::string doctored = text.str();
-  const std::string needle = "\"type\":\"agg\",\"counter\":\"haee.rows_owned\",\"sum\":16";
-  const std::size_t at = doctored.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  doctored.replace(at, needle.size(),
-                   "\"type\":\"agg\",\"counter\":\"haee.rows_owned\",\"sum\":17");
-  const std::string bad = dir_->file("bad.telemetry.jsonl");
+  // Flip one byte in the middle: das_top must now reject the file.
+  std::string bytes;
   {
-    std::ofstream out(bad);
-    out << doctored;
+    std::ifstream in(tele, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    bytes = text.str();
   }
-  EXPECT_EQ(run(tools_dir() + "/das_health " + bad + " --validate-only"),
-            1);
+  ASSERT_GT(bytes.size(), 16u);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x20);
+  const std::string bad = dir_->file("bad.tlm");
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << bytes;
+  }
+  EXPECT_EQ(run(tools_dir() + "/das_top --file " + bad), 1);
 }
 
 TEST_F(ToolsSmokeTest, AnalyzeRejectsUnknownPipeline) {

@@ -20,10 +20,12 @@
 //   any pipeline:
 //     [--trace out.json]      enable span tracing, export chrome://tracing
 //                             JSON to out.json (inspect with das_trace)
-//     [--telemetry out.jsonl] sample counters/resources during the run,
-//                             write the "dassa.telemetry.v1" timeline with
-//                             per-rank aggregates, and print the health
-//                             report to stdout (inspect with das_health)
+//     [--telemetry out.tlm]   sample counters/gauges/histograms during
+//                             the run, write the telemetry file (timeline
+//                             + per-rank snapshots), and print the run
+//                             report to stdout (re-read it later with
+//                             das_top --file out.tlm)
+//     [--telemetry-period-ms MS] sampler period (default 25)
 //     [--log-json path]       mirror log records to a JSONL file
 //     [--log-level L]         debug|info|warn|error (default info)
 #include <fstream>
@@ -86,10 +88,9 @@ void maybe_export_trace(const tools::Args& args) {
       << summary.str();
 }
 
-/// Assemble the telemetry file from the sampler timeline and the
-/// engine's cross-rank reduction, write it, then re-parse and validate
-/// the bytes on disk -- the health report only prints if the file
-/// round-trips through the schema checker.
+/// Write the telemetry file -- the sampler timeline plus the engine's
+/// per-rank snapshots -- then read the bytes on disk back through the
+/// strict reader: the run report only prints if the file round-trips.
 void export_telemetry(const std::string& path, const tools::Args& args,
                       const core::EngineReport& report,
                       const telemetry::TelemetrySampler& sampler) {
@@ -98,75 +99,16 @@ void export_telemetry(const std::string& path, const tools::Args& args,
   file.meta["pipeline"] = args.get("--pipeline");
   file.meta["world_size"] = std::to_string(report.world_size);
   file.meta["threads_per_rank"] = std::to_string(report.threads_per_rank);
-  file.samples = sampler.timeline();
-
-  const auto cluster_sum = [&report](const char* name) {
-    const auto it = report.telemetry.counters.find(name);
-    return it == report.telemetry.counters.end() ? std::uint64_t{0}
-                                                 : it->second.sum;
-  };
-  for (const auto& [name, secs] : report.stages.stages()) {
-    telemetry::StageRecord st;
-    st.name = name;
-    st.seconds = secs;
-    if (name == "read") {
-      st.bytes = cluster_sum("haee.read_bytes");
-      st.rows = cluster_sum("haee.rows_owned");
-    } else if (name == "compute") {
-      st.rows = cluster_sum("haee.rows_owned");
-    } else if (name == "write") {
-      st.bytes = cluster_sum("haee.output_values") * sizeof(double);
-      st.rows = cluster_sum("haee.rows_owned");
-    }
-    file.stages.push_back(std::move(st));
-  }
-
-  for (const mpi::RankTelemetry& rt : report.telemetry.per_rank) {
-    telemetry::RankRecord rec;
-    rec.rank = static_cast<int>(file.ranks.size());
-    rec.counters = rt.counters;
-    file.ranks.push_back(std::move(rec));
-  }
-  for (const auto& [name, agg] : report.telemetry.counters) {
-    telemetry::AggRecord a;
-    a.counter = name;
-    a.sum = agg.sum;
-    a.min = agg.min;
-    a.max = agg.max;
-    a.min_rank = agg.min_rank;
-    a.max_rank = agg.max_rank;
-    a.imbalance = agg.imbalance(report.world_size);
-    file.aggs.push_back(std::move(a));
-  }
-  for (const auto& [name, h] : report.telemetry.hists) {
-    telemetry::HistRecord rec;
-    rec.name = name;
-    rec.count = h.count;
-    rec.total_ns = h.total_ns;
-    rec.p50_ns = h.quantile_ns(0.50);
-    rec.p95_ns = h.quantile_ns(0.95);
-    rec.p99_ns = h.quantile_ns(0.99);
-    rec.buckets = h.buckets;
-    file.hists.push_back(std::move(rec));
-  }
-
-  {
-    std::ofstream out(path);
-    DASSA_CHECK(out.good(), "cannot open telemetry output file: " + path);
-    telemetry::write_telemetry_file(out, file);
-  }
-  std::ifstream back(path);
-  std::ostringstream text;
-  text << back.rdbuf();
-  const telemetry::TelemetryFile parsed =
-      telemetry::parse_telemetry_jsonl(text.str());
-  telemetry::validate_telemetry_file(parsed);
+  file.timeline = sampler.timeline();
+  file.ranks = report.telemetry.per_rank;
+  telemetry::write_telemetry_file(path, file);
+  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
   DASSA_SLOG(kInfo, "analyze.telemetry")
       .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(parsed.samples.size()))
-      .field("ranks", static_cast<std::uint64_t>(parsed.ranks.size()))
-      .field("dropped", sampler.dropped());
-  telemetry::write_health_report(std::cout, parsed);
+      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
+      .field("ranks", static_cast<std::uint64_t>(back.ranks.size()))
+      .field("evicted", sampler.evicted());
+  telemetry::write_health_report(std::cout, back);
 }
 
 std::vector<std::string> find_files(const tools::Args& args) {

@@ -22,32 +22,29 @@
 //     [--stats-socket <path>] answer das_top's kStats polls on a
 //                             dedicated socket (live counters, gauges,
 //                             and exact histogram buckets)
-//     [--telemetry out.jsonl] sample counters/gauges (incl. the
-//                             ingest.queue.depth gauge) during the run,
-//                             write the validated "dassa.telemetry.v1"
-//                             timeline + the ingest latency histograms,
-//                             and print the health report to stdout
+//     [--telemetry out.tlm]   sample counters/gauges/histograms (incl.
+//                             the ingest.queue.depth gauge and the ingest
+//                             latency histograms) during the run, write
+//                             the checked telemetry file, and print the
+//                             run report to stdout (das_top --file)
 //     [--telemetry-period-ms MS] [--log-json path] [--log-level L]
 //
 // Without --once the daemon runs until SIGINT/SIGTERM, then shuts down
 // gracefully: the producer stops polling, the queue is closed, every
 // already-admitted file is drained through the driver, the final
 // window is processed, and the (partial) result is still written.
-// SIGUSR1 flushes the validated telemetry JSONL mid-run (needs
+// SIGUSR1 flushes the checked telemetry file mid-run (needs
 // --telemetry); ingestion keeps running.
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "arg_parse.hpp"
 #include "dassa/common/counters.hpp"
 #include "dassa/common/log.hpp"
-#include "dassa/common/metrics.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/common/trace.hpp"
 #include "dassa/das/events.hpp"
@@ -91,12 +88,12 @@ void log_ingest_counters() {
   }
 }
 
-/// Telemetry export mirroring das_analyze: assemble, write, re-parse,
-/// validate, then print the health report. The ingest run's latency
-/// distributions (ingest.file_to_detection above all) ride along as
-/// hist records -- that is what bench_ingest gates p50/p99 on.
-/// `final_report` additionally prints the health report to stdout --
-/// the end-of-run path; SIGUSR1 flushes skip it.
+/// Telemetry export mirroring das_analyze: write, read back through
+/// the strict reader, then print the run report. The final timeline
+/// sample carries the ingest latency histograms
+/// (ingest.file_to_detection above all -- what bench_ingest gates
+/// p50/p99 on). `final_report` additionally prints the run report to
+/// stdout -- the end-of-run path; SIGUSR1 flushes skip it.
 void export_telemetry(const std::string& path,
                       const core::EngineConfig& engine,
                       const telemetry::TelemetrySampler& sampler,
@@ -106,35 +103,14 @@ void export_telemetry(const std::string& path,
   file.meta["pipeline"] = "similarity";
   file.meta["world_size"] = std::to_string(engine.world_size());
   file.meta["threads_per_rank"] = std::to_string(engine.threads_per_rank());
-  file.samples = sampler.timeline();
-  for (const auto& [name, h] : global_metrics().snapshot()) {
-    telemetry::HistRecord rec;
-    rec.name = name;
-    rec.count = h.count;
-    rec.total_ns = h.total_ns;
-    rec.p50_ns = h.quantile_ns(0.50);
-    rec.p95_ns = h.quantile_ns(0.95);
-    rec.p99_ns = h.quantile_ns(0.99);
-    rec.buckets = h.buckets;
-    file.hists.push_back(std::move(rec));
-  }
-  {
-    std::ofstream out(path);
-    DASSA_CHECK(out.good(), "cannot open telemetry output file: " + path);
-    telemetry::write_telemetry_file(out, file);
-  }
-  std::ifstream back(path);
-  std::ostringstream text;
-  text << back.rdbuf();
-  const telemetry::TelemetryFile parsed =
-      telemetry::parse_telemetry_jsonl(text.str());
-  telemetry::validate_telemetry_file(parsed);
+  file.timeline = sampler.timeline();
+  telemetry::write_telemetry_file(path, file);
+  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
   DASSA_SLOG(kInfo, "ingest.telemetry")
       .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(parsed.samples.size()))
-      .field("hists", static_cast<std::uint64_t>(parsed.hists.size()))
-      .field("dropped", sampler.dropped());
-  if (final_report) telemetry::write_health_report(std::cout, parsed);
+      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
+      .field("evicted", sampler.evicted());
+  if (final_report) telemetry::write_health_report(std::cout, back);
 }
 
 /// Producer loop: poll the spool, push admitted files into the queue.
@@ -177,9 +153,9 @@ int main(int argc, char** argv) {
                  "[--window-half M] [--lag-half L] [--channel-offset K] "
                  "[--no-detect]\n"
                  "[--stats-socket <path>] "
-                 "[--telemetry out.jsonl] [--telemetry-period-ms MS] "
+                 "[--telemetry out.tlm] [--telemetry-period-ms MS] "
                  "[--log-json path] [--log-level L]\n"
-                 "SIGUSR1 flushes the telemetry JSONL mid-run; das_top "
+                 "SIGUSR1 flushes the telemetry file mid-run; das_top "
                  "polls live stats via --stats-socket\n"
                  "see the header comment of tools/das_ingest.cpp for "
                  "semantics\n";

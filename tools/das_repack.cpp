@@ -20,14 +20,12 @@
 //              [--rows-per-block N]
 //              [--ranks N]        (parallel concatenation world size)
 //              [--verify]         (re-read both sides, compare bit-exact)
-//              [--telemetry out.jsonl] [--telemetry-period-ms N]
+//              [--telemetry out.tlm] [--telemetry-period-ms N]
 //                                 (concat mode: sample the run, write a
-//                                  validated dassa.telemetry.v1 file)
+//                                  checked telemetry file; das_top --file)
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "arg_parse.hpp"
 #include "dassa/common/log.hpp"
@@ -74,71 +72,38 @@ bool datasets_match(const SourceA& a, const SourceB& b,
   return true;
 }
 
-/// Write the concat run as a "dassa.telemetry.v1" file: the sampler
-/// timeline plus, for the parallel engine, per-rank repack counters and
-/// their cluster aggregates. Re-parsed and schema-validated before the
-/// success log, exactly like `das_analyze --telemetry`.
+/// Write the concat run as a telemetry file: the sampler timeline plus,
+/// for the parallel engine, one snapshot per rank with its repack
+/// counters, the merged output's rows and the run's wall time as the
+/// "repack" stage. Read back
+/// through the strict reader before the success log, exactly like
+/// `das_analyze --telemetry`.
 void export_telemetry(const std::string& path, std::size_t n_inputs,
                       const io::RepackReport* report,
                       const telemetry::TelemetrySampler& sampler) {
   telemetry::TelemetryFile file;
   file.meta["tool"] = "das_repack";
   file.meta["inputs"] = std::to_string(n_inputs);
-  file.samples = sampler.timeline();
+  file.timeline = sampler.timeline();
   if (report != nullptr) {
     const std::size_t p = report->rank_source_bytes.size();
     file.meta["world_size"] = std::to_string(p);
-    std::uint64_t source_bytes = 0;
-    for (const std::uint64_t b : report->rank_source_bytes) {
-      source_bytes += b;
-    }
-    telemetry::StageRecord st;
-    st.name = "repack";
-    st.seconds = report->seconds;
-    st.bytes = source_bytes;
-    st.rows = report->shape.rows;
-    file.stages.push_back(std::move(st));
-
-    const std::pair<const char*, const std::vector<std::uint64_t>&>
-        per_rank[] = {{"io.repack.source_bytes", report->rank_source_bytes},
-                      {"io.repack.chunks_encoded", report->rank_chunks}};
     for (std::size_t r = 0; r < p; ++r) {
-      telemetry::RankRecord rec;
-      rec.rank = static_cast<int>(r);
-      for (const auto& [name, values] : per_rank) {
-        rec.counters[name] = values[r];
-      }
-      file.ranks.push_back(std::move(rec));
-    }
-    for (const auto& [name, values] : per_rank) {
-      telemetry::AggRecord a;
-      a.counter = name;
-      a.min = values[0];
-      a.max = values[0];
-      for (std::size_t r = 0; r < p; ++r) {
-        a.sum += values[r];
-        if (values[r] < a.min) { a.min = values[r]; a.min_rank = static_cast<int>(r); }
-        if (values[r] > a.max) { a.max = values[r]; a.max_rank = static_cast<int>(r); }
-      }
-      const double mean = static_cast<double>(a.sum) / static_cast<double>(p);
-      a.imbalance = mean > 0.0 ? static_cast<double>(a.max) / mean : 1.0;
-      file.aggs.push_back(std::move(a));
+      Snapshot rank;
+      rank.counters["io.repack.source_bytes"] = report->rank_source_bytes[r];
+      rank.counters["io.repack.chunks_encoded"] = report->rank_chunks[r];
+      rank.counters["io.repack.rows"] = report->shape.rows;
+      rank.counters["io.repack.stage.repack_ns"] =
+          static_cast<std::uint64_t>(report->seconds * 1e9);
+      file.ranks.push_back(std::move(rank));
     }
   }
-  {
-    std::ofstream out(path);
-    DASSA_CHECK(out.good(), "cannot open telemetry output file: " + path);
-    telemetry::write_telemetry_file(out, file);
-  }
-  std::ifstream back(path);
-  std::ostringstream text;
-  text << back.rdbuf();
-  telemetry::validate_telemetry_file(
-      telemetry::parse_telemetry_jsonl(text.str()));
+  telemetry::write_telemetry_file(path, file);
+  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
   DASSA_SLOG(kInfo, "repack.telemetry")
           .field("path", path)
-          .field("samples", static_cast<std::uint64_t>(file.samples.size()))
-      << "validated";
+          .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
+      << "checked";
 }
 
 /// Multi-input mode: concatenate `inputs` into one merged file —
@@ -233,7 +198,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: das_repack <in.dh5> [<in2.dh5> ...] <out.dh5> "
                  "[--codec CHAIN] [--chunk RxC] [--contiguous] "
                  "[--rows-per-block N] [--ranks N] [--verify] "
-                 "[--save-vca out.vca] [--telemetry out.jsonl]\n";
+                 "[--save-vca out.vca] [--telemetry out.tlm]\n";
     return 2;
   }
   const std::string in_path = args.positional().front();

@@ -17,27 +17,25 @@
 //                                  requests over MS end-to-end (default 0: off)
 //             [--no-request-tracing] disable per-stage timestamps (the
 //                                  serve.lat.* histograms stay empty)
-//             [--telemetry out.jsonl] counter/gauge timeline + latency
-//                                  histograms (serve.request above all)
+//             [--telemetry out.tlm] counter/gauge/latency-histogram
+//                                  timeline (serve.request above all);
+//                                  re-read with das_top --file out.tlm
 //             [--telemetry-period-ms MS] [--log-json path] [--log-level L]
 //
 // Runs until SIGINT/SIGTERM, then drains gracefully: admitted requests
 // are answered, late ones get an explicit kShuttingDown refusal.
-// SIGUSR1 flushes the validated telemetry JSONL mid-run (needs
+// SIGUSR1 flushes the checked telemetry file mid-run (needs
 // --telemetry); the daemon keeps serving. Live introspection without
 // signals: das_top polls the kStats message on the main socket.
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "arg_parse.hpp"
 #include "dassa/common/counters.hpp"
 #include "dassa/common/log.hpp"
-#include "dassa/common/metrics.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/common/trace.hpp"
 #include "dassa/serve/server.hpp"
@@ -77,43 +75,24 @@ void log_serve_counters() {
   }
 }
 
-/// Write + re-parse + validate the telemetry JSONL. `final_report`
-/// additionally prints the health report to stdout -- the end-of-run
-/// path; SIGUSR1 flushes skip it so a live daemon's stdout stays quiet.
+/// Write the telemetry file and read it back through the strict
+/// reader. `final_report` additionally prints the run report to stdout
+/// -- the end-of-run path; SIGUSR1 flushes skip it so a live daemon's
+/// stdout stays quiet.
 void export_telemetry(const std::string& path,
                       const telemetry::TelemetrySampler& sampler,
                       bool final_report) {
   telemetry::TelemetryFile file;
   file.meta["tool"] = "das_serve";
   file.meta["pipeline"] = "serve";
-  file.samples = sampler.timeline();
-  for (const auto& [name, h] : global_metrics().snapshot()) {
-    telemetry::HistRecord rec;
-    rec.name = name;
-    rec.count = h.count;
-    rec.total_ns = h.total_ns;
-    rec.p50_ns = h.quantile_ns(0.50);
-    rec.p95_ns = h.quantile_ns(0.95);
-    rec.p99_ns = h.quantile_ns(0.99);
-    rec.buckets = h.buckets;
-    file.hists.push_back(std::move(rec));
-  }
-  {
-    std::ofstream out(path);
-    DASSA_CHECK(out.good(), "cannot open telemetry output file: " + path);
-    telemetry::write_telemetry_file(out, file);
-  }
-  std::ifstream back(path);
-  std::ostringstream text;
-  text << back.rdbuf();
-  const telemetry::TelemetryFile parsed =
-      telemetry::parse_telemetry_jsonl(text.str());
-  telemetry::validate_telemetry_file(parsed);
+  file.timeline = sampler.timeline();
+  telemetry::write_telemetry_file(path, file);
+  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
   DASSA_SLOG(kInfo, "serve.telemetry")
       .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(parsed.samples.size()))
-      .field("hists", static_cast<std::uint64_t>(parsed.hists.size()));
-  if (final_report) telemetry::write_health_report(std::cout, parsed);
+      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
+      .field("evicted", sampler.evicted());
+  if (final_report) telemetry::write_health_report(std::cout, back);
 }
 
 }  // namespace
@@ -126,9 +105,9 @@ int main(int argc, char** argv) {
                  "[--workers N] [--max-queue N] [--max-batch N] "
                  "[--coalesce-us US] [--gap-cols N] [--no-batching]\n"
                  "[--slow-ms MS] [--no-request-tracing]\n"
-                 "[--telemetry out.jsonl] [--telemetry-period-ms MS] "
+                 "[--telemetry out.tlm] [--telemetry-period-ms MS] "
                  "[--log-json path] [--log-level L]\n"
-                 "SIGUSR1 flushes the telemetry JSONL mid-run; das_top "
+                 "SIGUSR1 flushes the telemetry file mid-run; das_top "
                  "polls live stats over the socket\n"
                  "see the header comment of tools/das_serve.cpp for "
                  "semantics\n";

@@ -1,7 +1,8 @@
-// das_top: live view of a running DASSA daemon (docs/OBSERVABILITY.md).
+// das_top: live view of a running DASSA daemon, and the reader of its
+// telemetry files (docs/OBSERVABILITY.md).
 //
-// Polls the kStats protocol (serve/stats.hpp) over the daemon's socket
-// -- das_serve answers on its main socket, das_ingest on its
+// Live: polls the kStats protocol (serve/stats.hpp) over the daemon's
+// socket -- das_serve answers on its main socket, das_ingest on its
 // --stats-socket listener -- and diffs consecutive snapshots into an
 // interval view: request throughput, per-stage p50/p99 from the
 // serve.lat.* histograms, admission-queue depth, coalesce ratio,
@@ -10,18 +11,24 @@
 // interval quantiles are computed from exactly the requests that
 // finished inside the interval, not a decaying approximation.
 //
+// File: --file reads a telemetry file written by das_analyze /
+// das_ingest / das_serve / das_repack --telemetry, fully decodes and
+// checks it (exit 1 on any corruption, truncation or broken timeline
+// rule), and prints the run report.
+//
 // Usage:
 //   das_top --socket <path>
 //           [--interval-ms MS]   poll period (default 1000)
 //           [--count N]          samples then exit (default: until SIGINT)
 //           [--once]             one snapshot, print, exit
 //           [--prom]             Prometheus text exposition (with --once)
+//   das_top --file <run.tlm>
 //
-// das_health's zero-progress stall heuristic runs on the streamed
-// samples: an interval where no counter moved (excluding the sampler's
-// own telemetry.samples tick and the stats.* counters das_top itself
-// advances by polling) while spans were open or requests were queued
-// is flagged STALL on the spot, not post-mortem.
+// Both views flag stalls with the one dassa::stall() rule: an interval
+// where no counter moved (excluding the sampler's own
+// telemetry.samples tick and the stats.* / serve.bytes_* counters
+// das_top itself advances by polling) while spans were open or
+// requests were queued.
 #include <atomic>
 #include <cmath>
 #include <csignal>
@@ -35,6 +42,7 @@
 #include "arg_parse.hpp"
 #include "dassa/common/error.hpp"
 #include "dassa/common/log.hpp"
+#include "dassa/common/telemetry.hpp"
 #include "dassa/serve/server.hpp"
 #include "dassa/serve/stats.hpp"
 
@@ -46,25 +54,12 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-std::uint64_t counter_of(const serve::StatsSnapshot& s,
-                         const std::string& name) {
-  const auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
-
-double gauge_of(const serve::StatsSnapshot& s, const std::string& name,
-                double fallback) {
-  const auto it = s.gauges.find(name);
-  return it == s.gauges.end() ? fallback : it->second;
-}
-
 /// Counter delta, clamped at zero so a daemon restart between polls
 /// shows as "no progress", never as a wrapped-around flood.
-std::uint64_t delta(const serve::StatsSnapshot& cur,
-                    const serve::StatsSnapshot& prev,
+std::uint64_t delta(const Snapshot& cur, const Snapshot& prev,
                     const std::string& name) {
-  const std::uint64_t now = counter_of(cur, name);
-  const std::uint64_t before = counter_of(prev, name);
+  const std::uint64_t now = cur.counter(name);
+  const std::uint64_t before = prev.counter(name);
   return now >= before ? now - before : now;
 }
 
@@ -83,7 +78,7 @@ std::string prom_name(const std::string& name) {
 /// Prometheus text exposition of one cumulative snapshot: counters as
 /// counters, gauges as gauges, latency histograms as native Prometheus
 /// histograms in seconds (bucket i's upper bound is 2^(i+1) ns).
-void write_prometheus(std::ostream& os, const serve::StatsSnapshot& s) {
+void write_prometheus(std::ostream& os, const Snapshot& s) {
   for (const auto& [name, value] : s.counters) {
     const std::string p = prom_name(name) + "_total";
     os << "# TYPE " << p << " counter\n" << p << " " << value << "\n";
@@ -131,8 +126,8 @@ void print_hist_row(const std::string& label, const HistogramSnapshot& d,
 
 /// The live frame: everything the ISSUE's dashboard names, computed
 /// from the delta between two snapshots.
-void print_frame(const serve::StatsSnapshot& cur,
-                 const serve::StatsSnapshot& prev, bool clear_screen) {
+void print_frame(const Snapshot& cur, const Snapshot& prev,
+                 bool clear_screen) {
   if (clear_screen) std::cout << "\x1b[H\x1b[2J";
   const double dt_s =
       static_cast<double>(cur.wall_ns - prev.wall_ns) / 1e9;
@@ -148,14 +143,13 @@ void print_frame(const serve::StatsSnapshot& cur,
   const std::uint64_t unions = delta(cur, prev, "serve.batch.union_reads");
   const std::uint64_t hits = delta(cur, prev, "io.cache.hits");
   const std::uint64_t misses = delta(cur, prev, "io.cache.misses");
-  const double serve_q = gauge_of(cur, "serve.queue.depth", -1.0);
-  const double ingest_q = gauge_of(cur, "ingest.queue.depth", -1.0);
-  const double open_spans = gauge_of(cur, "trace.open_spans", 0.0);
+  const bool serving = cur.gauges.contains("serve.queue.depth");
+  const double queued =
+      cur.gauge(serving ? "serve.queue.depth" : "ingest.queue.depth");
 
   std::snprintf(buf, sizeof buf, "  qps %.1f  queue depth %s%.0f",
                 dt_s > 0 ? static_cast<double>(responses) / dt_s : 0.0,
-                serve_q >= 0 ? "" : "(ingest) ",
-                serve_q >= 0 ? serve_q : ingest_q >= 0 ? ingest_q : 0.0);
+                serving ? "" : "(ingest) ", queued);
   std::cout << buf;
   if (requests > 0) {
     std::snprintf(buf, sizeof buf, "  coalesce %.0f%%  req/union %.1f",
@@ -200,25 +194,11 @@ void print_frame(const serve::StatsSnapshot& cur,
     print_hist_row(name, d, dt_s);
   }
 
-  // Stall heuristic (das_health's zero-progress scan, live): no
-  // counter moved this interval -- excluding the telemetry sampler's
-  // own tick and the stats.* counters this poll advanced -- while work
-  // was nominally in flight.
-  std::uint64_t progress = 0;
-  for (const auto& [name, value] : cur.counters) {
-    if (name == "telemetry.samples") continue;
-    if (name.rfind("stats.", 0) == 0) continue;
-    const auto it = prev.counters.find(name);
-    const std::uint64_t before =
-        it == prev.counters.end() ? 0 : it->second;
-    progress += value >= before ? value - before : value;
-  }
-  const double queued = serve_q > 0 ? serve_q : ingest_q > 0 ? ingest_q : 0;
-  if (progress == 0 && (open_spans > 0 || queued > 0)) {
+  if (stall(prev, cur)) {
     std::snprintf(buf, sizeof buf,
                   "  STALL: no counter progress in %.2fs while %.0f "
                   "span(s) open, %.0f request(s) queued\n",
-                  dt_s, open_spans, queued);
+                  dt_s, cur.gauge("trace.open_spans"), queued);
     std::cout << buf;
   }
   std::cout.flush();
@@ -228,22 +208,30 @@ void print_frame(const serve::StatsSnapshot& cur,
 
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
-  if (!args.has("--socket")) {
+  if (!args.has("--socket") && !args.has("--file")) {
     std::cerr << "usage: das_top --socket <path> [--interval-ms MS] "
                  "[--count N] [--once] [--prom]\n"
+                 "       das_top --file <run.tlm>\n"
                  "polls a live das_serve (main socket) or das_ingest "
                  "(--stats-socket) via kStats;\n--once prints one "
-                 "snapshot (--prom: Prometheus text exposition)\n";
+                 "snapshot (--prom: Prometheus text exposition);\n"
+                 "--file checks a telemetry file and prints its run "
+                 "report\n";
     return 2;
   }
   try {
+    if (args.has("--file")) {
+      telemetry::write_health_report(
+          std::cout, telemetry::read_telemetry_file(args.get("--file")));
+      return 0;
+    }
     serve::Connection conn = serve::connect_local(args.get("--socket"));
     if (args.has("--once")) {
-      const serve::StatsSnapshot s = serve::fetch_stats(conn);
+      const Snapshot s = serve::fetch_stats(conn);
       if (args.has("--prom")) {
         write_prometheus(std::cout, s);
       } else {
-        print_frame(s, serve::StatsSnapshot{}, false);
+        print_frame(s, Snapshot{}, false);
       }
       return 0;
     }
@@ -252,7 +240,7 @@ int main(int argc, char** argv) {
     const long interval_ms = args.get_long("--interval-ms", 1000);
     const long count = args.get_long("--count", 0);
     const bool tty = ::isatty(STDOUT_FILENO) == 1;
-    serve::StatsSnapshot prev = serve::fetch_stats(conn);
+    Snapshot prev = serve::fetch_stats(conn);
     for (long i = 0; (count == 0 || i < count) && !g_stop.load(); ++i) {
       for (long waited = 0; waited < interval_ms && !g_stop.load();
            waited += 50) {
@@ -260,7 +248,7 @@ int main(int argc, char** argv) {
             std::min<long>(50, interval_ms - waited)));
       }
       if (g_stop.load()) break;
-      const serve::StatsSnapshot cur = serve::fetch_stats(conn);
+      const Snapshot cur = serve::fetch_stats(conn);
       print_frame(cur, prev, tty);
       prev = cur;
     }
