@@ -2,8 +2,10 @@
 //
 // Thread topology:
 //
-//   accept loop ──► one reader thread per connection
-//                        │  decode + validate, admit
+//   front end (front_end.hpp): accept loop ──► one reader thread per
+//   connection, reaped when it finishes
+//                        │  decode + validate, admit; kStats polls are
+//                        │  answered inline (answer_stats)
 //                        ▼
 //                 admission queue (BoundedQueue, serve.queue.*)
 //                        │
@@ -31,11 +33,10 @@
 
 #include "dassa/common/bounded_queue.hpp"
 #include "dassa/common/metrics.hpp"
-#include "dassa/common/sync.hpp"
 #include "dassa/io/interval_index.hpp"
 #include "dassa/io/vca.hpp"
+#include "dassa/serve/front_end.hpp"
 #include "dassa/serve/protocol.hpp"
-#include "dassa/serve/socket.hpp"
 
 namespace dassa::serve {
 
@@ -93,6 +94,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
+  /// Binds the socket first: a path that cannot be bound throws with
+  /// nothing started, and destruction stays clean.
   void start();
   /// Graceful drain; idempotent. Safe to call while clients are
   /// mid-request: admitted work is finished, not abandoned.
@@ -102,17 +105,12 @@ class Server {
   [[nodiscard]] Shape2D shape() const { return vca_.shape(); }
   /// Admission-queue depth right now (the das_serve telemetry gauge).
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
+  /// Client connections held right now (FrontEnd::tracked_connections).
+  [[nodiscard]] std::size_t tracked_connections() {
+    return front_.tracked_connections();
+  }
 
  private:
-  /// One connected client, shared between its reader thread and any
-  /// worker holding a reply for it. write_mu serialises frames from
-  /// concurrent workers onto the single stream.
-  struct ClientConn {
-    Connection conn;
-    Mutex write_mu;
-    std::uint64_t client_id = 0;
-  };
-
   /// One admitted read, resolved to archive coordinates. The *_ns
   /// stamps are the request-scoped trace record (0 when tracing is
   /// off, except admit_ns which the end-to-end histogram always
@@ -121,7 +119,7 @@ class Server {
   struct Job {
     ReadRequest req;
     Slab2D slab;
-    std::shared_ptr<ClientConn> conn;
+    std::shared_ptr<Peer> conn;
     std::uint64_t request_seq = 0;
     std::uint64_t received_ns = 0;
     std::uint64_t admit_ns = 0;
@@ -135,8 +133,7 @@ class Server {
     std::vector<Job> jobs;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<ClientConn> client);
+  void reader_loop(const std::shared_ptr<Peer>& client);
   void dispatch_loop();
   void worker_loop();
   void dispatch_round(std::vector<Job> batch);
@@ -155,8 +152,8 @@ class Server {
   /// the caller).
   [[nodiscard]] Slab2D resolve(const ReadRequest& req) const;
 
-  static void send_response(ClientConn& client, const ReadResponse& resp);
-  static void send_error(ClientConn& client, std::uint64_t id, ErrorCode code,
+  static void send_response(Peer& client, const ReadResponse& resp);
+  static void send_error(Peer& client, std::uint64_t id, ErrorCode code,
                          const std::string& message);
 
   ServeConfig cfg_;
@@ -167,19 +164,11 @@ class Server {
   BoundedQueue<Job> queue_;
   BoundedQueue<GroupWork> groups_;
 
-  std::unique_ptr<Listener> listener_;
-  std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::vector<std::thread> worker_threads_;
 
-  Mutex readers_mu_;
-  std::vector<std::thread> reader_threads_ DASSA_GUARDED_BY(readers_mu_);
-  std::vector<std::shared_ptr<ClientConn>> clients_
-      DASSA_GUARDED_BY(readers_mu_);
-
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> next_client_id_{1};
   std::atomic<std::uint64_t> next_request_seq_{1};
 
   // Stage histograms resolved once at construction (registry entries
@@ -190,6 +179,9 @@ class Server {
   LatencyHistogram& h_coalesce_;
   LatencyHistogram& h_decode_;
   LatencyHistogram& h_write_;
+
+  // Last: its reader threads use everything above.
+  FrontEnd front_;
 };
 
 }  // namespace dassa::serve

@@ -228,6 +228,22 @@ leg_telemetry() {
     | grep -q '^das_top'
   ./build/tools/das_top --socket "${serve_sock}" --once --prom \
     | grep -q '^dassa_stats_requests_total'
+
+  # Short-lived pollers must not leak: finished connections are reaped
+  # on the next accept, so 50 more polls leave the fd count flat.
+  local fds_before fds_after
+  fds_before=$(ls "/proc/${serve_pid}/fd" | wc -l)
+  for i in $(seq 1 50); do
+    timeout 10 ./build/tools/das_top --socket "${serve_sock}" --once \
+      > /dev/null
+  done
+  fds_after=$(ls "/proc/${serve_pid}/fd" | wc -l)
+  if (( fds_after > fds_before + 4 )); then
+    echo "das_serve fds grew from ${fds_before} to ${fds_after}" \
+      "over 50 das_top polls" >&2
+    kill "${serve_pid}"
+    return 1
+  fi
   kill -USR1 "${serve_pid}"
   local flushed=0
   for i in $(seq 1 100); do
@@ -241,6 +257,15 @@ leg_telemetry() {
   [[ "${flushed}" -eq 1 ]]
   kill "${serve_pid}"
   wait "${serve_pid}"
+
+  step "telemetry: an unbindable das_serve socket exits 1, not a crash"
+  local rc=0
+  ./build/tools/das_serve --socket "${TELEDIR}/no-such-dir/s.sock" \
+    --archive "${TELEDIR}/out.dh5" > /dev/null 2>&1 || rc=$?
+  if (( rc != 1 )); then
+    echo "das_serve on an unbindable socket exited ${rc}, want 1" >&2
+    return 1
+  fi
   rm -rf "${TELEDIR}"
   TELEDIR=""
 }

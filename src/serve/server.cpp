@@ -47,8 +47,11 @@ Server::Server(ServeConfig cfg)
       h_queue_wait_(global_metrics().histogram(lat::kQueueWait)),
       h_coalesce_(global_metrics().histogram(lat::kCoalesce)),
       h_decode_(global_metrics().histogram(lat::kDecode)),
-      h_write_(global_metrics().histogram(lat::kWrite)) {
-  DASSA_CHECK(!cfg_.socket_path.empty(), "serve needs a socket path");
+      h_write_(global_metrics().histogram(lat::kWrite)),
+      front_(cfg_.socket_path, "serve", counters::kServeConnections,
+             [this](const std::shared_ptr<Peer>& client) {
+               reader_loop(client);
+             }) {
   DASSA_CHECK(cfg_.workers >= 1, "serve needs at least one worker");
   DASSA_CHECK(cfg_.max_batch >= 1, "max_batch must be at least 1");
   vca_ = ends_with(cfg_.archive, ".vca") ? io::Vca::load(cfg_.archive)
@@ -81,15 +84,15 @@ Server::Server(ServeConfig cfg)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  DASSA_CHECK(!started_.exchange(true), "server started twice");
+  DASSA_CHECK(!started_.load(), "server started twice");
+  front_.start();  // a bind failure throws here, before any thread runs
+  started_.store(true);
   // The admission-queue depth gauge rides in every telemetry sample
   // and every kStats snapshot; stop() re-points it at a constant so a
   // late stats poll can never call into a dead server.
   telemetry::register_gauge("serve.queue.depth", [this] {
     return static_cast<double>(queue_.depth());
   });
-  listener_ = std::make_unique<Listener>(cfg_.socket_path);
-  accept_thread_ = std::thread([this] { accept_loop(); });
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
   worker_threads_.reserve(cfg_.workers);
   for (std::size_t i = 0; i < cfg_.workers; ++i) {
@@ -105,52 +108,19 @@ void Server::stop() {
   if (!started_.load() || stopping_.exchange(true)) return;
   // Drain order matters: stop admitting, finish what was admitted,
   // then wake the readers so they observe end-of-stream.
-  listener_->shutdown();
-  accept_thread_.join();
+  front_.stop_accepting();
   queue_.close();           // readers' pushes now return false
   dispatch_thread_.join();  // drains the admission queue into groups
   groups_.close();
   for (auto& w : worker_threads_) w.join();
-  std::vector<std::thread> readers;
-  {
-    MutexLock lock(readers_mu_);
-    for (auto& c : clients_) c->conn.shutdown();
-    readers.swap(reader_threads_);
-  }
-  for (auto& r : readers) r.join();
-  {
-    MutexLock lock(readers_mu_);
-    clients_.clear();
-  }
+  front_.stop();
   telemetry::register_gauge("serve.queue.depth", [] { return 0.0; });
   DASSA_SLOG(kInfo, "serve.stop").field("socket",
                                                        cfg_.socket_path)
       << "drained";
 }
 
-void Server::accept_loop() {
-  while (true) {
-    std::optional<Connection> conn;
-    try {
-      conn = listener_->accept();
-    } catch (const Error& e) {
-      DASSA_SLOG(kError, "serve.accept_error")
-          << e.what();
-      continue;
-    }
-    if (!conn) return;  // listener shut down
-    global_counters().add(counters::kServeConnections);
-    auto client = std::make_shared<ClientConn>();
-    client->conn = std::move(*conn);
-    client->client_id = next_client_id_.fetch_add(1);
-    MutexLock lock(readers_mu_);
-    clients_.push_back(client);
-    reader_threads_.emplace_back(
-        [this, client = std::move(client)] { reader_loop(client); });
-  }
-}
-
-void Server::reader_loop(std::shared_ptr<ClientConn> client) {
+void Server::reader_loop(const std::shared_ptr<Peer>& client) {
   while (true) {
     std::optional<std::vector<std::byte>> frame;
     try {
@@ -167,18 +137,7 @@ void Server::reader_loop(std::shared_ptr<ClientConn> client) {
     if (!frame->empty() &&
         static_cast<MsgType>((*frame)[0]) == MsgType::kStatsRequest) {
       try {
-        decode_stats_request(*frame);
-      } catch (const Error& e) {
-        global_counters().add(counters::kStatsBadFrames);
-        send_error(*client, 0, ErrorCode::kBadRequest, e.what());
-        continue;
-      }
-      global_counters().add(counters::kStatsRequests);
-      const std::vector<std::byte> reply =
-          encode_stats(telemetry::collect());
-      try {
-        MutexLock lock(client->write_mu);
-        client->conn.send_frame(reply);
+        client->send(answer_stats(*frame));
       } catch (const Error&) {
         return;  // peer gone
       }
@@ -392,7 +351,7 @@ void Server::record_request_trace(const Job& job,
     global_counters().add(counters::kServeSlowRequests);
     DASSA_SLOG(kWarn, "serve.slow_request")
         .field("request", job.request_seq)
-        .field("client", job.conn->client_id)
+        .field("client", job.conn->id)
         .field("client_req_id", job.req.id)
         .field("total_us", static_cast<double>(total) / 1e3)
         .field("admit_us",
@@ -405,11 +364,9 @@ void Server::record_request_trace(const Job& job,
   }
 }
 
-void Server::send_response(ClientConn& client, const ReadResponse& resp) {
-  const std::vector<std::byte> frame = encode_response(resp);
+void Server::send_response(Peer& client, const ReadResponse& resp) {
   try {
-    MutexLock lock(client.write_mu);
-    client.conn.send_frame(frame);
+    client.send(encode_response(resp));
   } catch (const Error&) {
     global_counters().add(counters::kServeErrors);
     return;  // peer is gone; its reader thread will notice EOF
@@ -417,7 +374,7 @@ void Server::send_response(ClientConn& client, const ReadResponse& resp) {
   global_counters().add(counters::kServeResponses);
 }
 
-void Server::send_error(ClientConn& client, std::uint64_t id, ErrorCode code,
+void Server::send_error(Peer& client, std::uint64_t id, ErrorCode code,
                         const std::string& message) {
   global_counters().add(counters::kServeErrors);
   ReadResponse resp;
@@ -425,10 +382,8 @@ void Server::send_error(ClientConn& client, std::uint64_t id, ErrorCode code,
   resp.ok = false;
   resp.code = code;
   resp.error = message;
-  const std::vector<std::byte> frame = encode_response(resp);
   try {
-    MutexLock lock(client.write_mu);
-    client.conn.send_frame(frame);
+    client.send(encode_response(resp));
   } catch (const Error&) {
     // Peer already gone; the refusal had no one to reach.
   }

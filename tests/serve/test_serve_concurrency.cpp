@@ -2,21 +2,28 @@
 // concurrent clients with overlapping, disjoint and adversarial
 // windows, a slow-reading client exercising write-side backpressure,
 // and a mid-request shutdown drain where every admitted request is
-// still answered.
+// still answered. The ServeFrontEnd cases pin the shared socket front
+// end: finished connections are reaped, and an unbindable socket
+// fails start() without leaving anything to crash on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
+#include "dassa/common/telemetry.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/das/synth.hpp"
 #include "dassa/io/vca.hpp"
 #include "dassa/serve/client.hpp"
 #include "dassa/serve/server.hpp"
+#include "dassa/serve/stats.hpp"
 #include "testing/tmpdir.hpp"
 
 using namespace dassa;
@@ -60,6 +67,12 @@ serve::ServeConfig base_config(const TmpDir& dir,
   cfg.max_batch = 8;
   cfg.coalesce_window_us = 2000;
   return cfg;
+}
+
+std::size_t open_fds() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
 }
 
 }  // namespace
@@ -333,4 +346,61 @@ TEST(ServeConcurrency, StopIsIdempotentAndRestartableOnNewSocket) {
   const Slab2D slab{0, 0, shape.rows, 8};
   EXPECT_EQ(client.read_slab(slab), archive.reference.read_slab(slab));
   again.stop();
+}
+
+TEST(ServeFrontEnd, SequentialStatsPollsAreReaped) {
+  TmpDir dir("serve_reap");
+  ServedArchive archive(dir);
+  serve::Server server(base_config(dir, archive));
+  server.start();
+  const std::size_t baseline_fds = open_fds();
+
+  // das_top --once and Prometheus scrapes: connect, one kStats poll,
+  // hang up. A finished connection is reaped at the next accept, so
+  // what the server holds does not grow with the number of polls made.
+  // A reader that has not yet run to see its end-of-stream is not
+  // finished, so under load a few may still be held.
+  const auto poll_once = [&] {
+    serve::Connection conn = serve::connect_local(server.config().socket_path);
+    EXPECT_TRUE(serve::fetch_stats(conn).counters.contains(
+        counters::kStatsRequests));
+    return server.tracked_connections();
+  };
+  std::size_t max_tracked = 0;
+  for (int i = 0; i < 200; ++i) {
+    max_tracked = std::max(max_tracked, poll_once());
+  }
+  EXPECT_LT(max_tracked, 20u);
+
+  // Once those readers have exited, one more accept reaps them all:
+  // the server holds only the live client.
+  bool settled = false;
+  for (int i = 0; i < 100 && !settled; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    settled = poll_once() <= 1;
+  }
+  EXPECT_TRUE(settled);
+  // That client has hung up too; its server side waits for the next
+  // accept or stop().
+  EXPECT_LE(open_fds(), baseline_fds + 1);
+  server.stop();
+  EXPECT_EQ(server.tracked_connections(), 0u);
+  EXPECT_LE(open_fds(), baseline_fds);
+}
+
+TEST(ServeFrontEnd, UnbindableSocketFailsStartAndDestructsCleanly) {
+  TmpDir dir("serve_bad_bind");
+  ServedArchive archive(dir);
+  serve::ServeConfig cfg = base_config(dir, archive);
+  cfg.socket_path = "/nonexistent-dassa-dir/s.sock";
+  telemetry::register_gauge("serve.queue.depth", [] { return -7.0; });
+  {
+    serve::Server server(cfg);
+    EXPECT_THROW(server.start(), Error);
+    server.stop();  // nothing was started: a no-op, not a crash
+  }
+  // The failed start did not re-point the gauge into the dead server,
+  // so a later snapshot is safe.
+  EXPECT_EQ(telemetry::collect().gauge("serve.queue.depth"), -7.0);
+  telemetry::register_gauge("serve.queue.depth", [] { return 0.0; });
 }

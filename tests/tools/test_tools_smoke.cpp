@@ -3,12 +3,17 @@
 // The tool binaries are located relative to this test executable
 // (build/tests/... -> build/tools/...).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "dassa/common/telemetry.hpp"
 #include "dassa/io/dash5.hpp"
@@ -32,10 +37,38 @@ int run(const std::string& cmd) {
   return WEXITSTATUS(status);
 }
 
+/// A one-file acquisition for das_serve to serve; returns its path.
+std::string generate_archive(const TmpDir& dir) {
+  EXPECT_EQ(run(tools_dir() + "/das_generate --dir " + dir.str() +
+                " --channels 8 --rate 20 --files 1 --seconds-per-file 2 "
+                "--start 170728224510"),
+            0);
+  return dir.file("das_170728224510.dh5");
+}
+
+/// Start `sh -c script` in the background (so `script` can set limits
+/// and then exec a daemon under them); returns the pid.
+pid_t spawn_shell(const std::string& script) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execl("/bin/sh", "sh", "-c", script.c_str(), nullptr);
+    ::_exit(127);
+  }
+  return pid;
+}
+
+/// Exit code of a child, 128 + signal if a signal ended it.
+int wait_exit(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
 class ToolsSmokeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dir_ = new TmpDir("tools");
+    out_ = new TmpDir("tools_out");
     ASSERT_EQ(run(tools_dir() + "/das_generate --dir " + dir_->str() +
                   " --channels 16 --rate 20 --files 4 "
                   "--seconds-per-file 2 --start 170728224510"),
@@ -44,11 +77,18 @@ class ToolsSmokeTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete dir_;
     dir_ = nullptr;
+    delete out_;
+    out_ = nullptr;
   }
+  /// The acquisition: only das_generate writes here, because
+  /// das_analyze --dir and the catalog scans read every file in it.
   static TmpDir* dir_;
+  /// Everything the tests write.
+  static TmpDir* out_;
 };
 
 TmpDir* ToolsSmokeTest::dir_ = nullptr;
+TmpDir* ToolsSmokeTest::out_ = nullptr;
 
 TEST_F(ToolsSmokeTest, GenerateProducedReadableFiles) {
   std::size_t count = 0;
@@ -69,8 +109,8 @@ TEST_F(ToolsSmokeTest, SearchRangeAndRegexExitCodes) {
 }
 
 TEST_F(ToolsSmokeTest, SearchSavesLoadableVcaAndRca) {
-  const std::string vca_path = dir_->file("merged.vca");
-  const std::string rca_path = dir_->file("merged.dh5");
+  const std::string vca_path = out_->file("merged.vca");
+  const std::string rca_path = out_->file("merged.dh5");
   ASSERT_EQ(run(tools_dir() + "/das_search --dir " + dir_->str() +
                 " -s 170728224510 -c 4 --save-vca " + vca_path +
                 " --save-rca " + rca_path),
@@ -84,7 +124,7 @@ TEST_F(ToolsSmokeTest, SearchSavesLoadableVcaAndRca) {
 
 TEST_F(ToolsSmokeTest, InfoRunsOnBothFormats) {
   ASSERT_EQ(run(tools_dir() + "/das_search --dir " + dir_->str() +
-                " -s 170728224510 -c 4 --save-vca " + dir_->file("i.vca")),
+                " -s 170728224510 -c 4 --save-vca " + out_->file("i.vca")),
             0);
   std::string first;
   for (const auto& e : std::filesystem::directory_iterator(dir_->str())) {
@@ -95,12 +135,12 @@ TEST_F(ToolsSmokeTest, InfoRunsOnBothFormats) {
   }
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(run(tools_dir() + "/das_info " + first), 0);
-  EXPECT_EQ(run(tools_dir() + "/das_info " + dir_->file("i.vca")), 0);
+  EXPECT_EQ(run(tools_dir() + "/das_info " + out_->file("i.vca")), 0);
   EXPECT_EQ(run(tools_dir() + "/das_info /nonexistent.dh5"), 1);
 }
 
 TEST_F(ToolsSmokeTest, AnalyzeSimilarityWritesOutput) {
-  const std::string out = dir_->file("sim_out.dh5");
+  const std::string out = out_->file("sim_out.dh5");
   ASSERT_EQ(run(tools_dir() + "/das_analyze --dir " + dir_->str() +
                 " --pipeline similarity --window-half 4 --lag-half 2 "
                 "--nodes 2 --cores 2 --out " + out),
@@ -110,7 +150,7 @@ TEST_F(ToolsSmokeTest, AnalyzeSimilarityWritesOutput) {
 }
 
 TEST_F(ToolsSmokeTest, AnalyzeInterferometryWritesOutput) {
-  const std::string out = dir_->file("intf_out.dh5");
+  const std::string out = out_->file("intf_out.dh5");
   ASSERT_EQ(run(tools_dir() + "/das_analyze --dir " + dir_->str() +
                 " --pipeline interferometry --band-lo 1 --band-hi 8 "
                 "--resample-down 2 --out " + out),
@@ -128,7 +168,7 @@ TEST_F(ToolsSmokeTest, RepackCompressesAndVerifiesRoundtrip) {
     }
   }
   ASSERT_FALSE(first.empty());
-  const std::string v3 = dir_->file("repacked_v3.dh5");
+  const std::string v3 = out_->file("repacked_v3.dh5");
   ASSERT_EQ(run(tools_dir() + "/das_repack " + first + " " + v3 +
                 " --codec shuffle+lz --chunk 4x16 --verify"),
             0);
@@ -139,7 +179,7 @@ TEST_F(ToolsSmokeTest, RepackCompressesAndVerifiesRoundtrip) {
   EXPECT_EQ(f.read_all(), io::Dash5File(first).read_all());
 
   // And back to a plain contiguous v2 file, still bit-exact.
-  const std::string back = dir_->file("repacked_back.dh5");
+  const std::string back = out_->file("repacked_back.dh5");
   ASSERT_EQ(run(tools_dir() + "/das_repack " + v3 + " " + back +
                 " --contiguous --verify"),
             0);
@@ -152,7 +192,7 @@ TEST_F(ToolsSmokeTest, RepackCompressesAndVerifiesRoundtrip) {
 
 TEST_F(ToolsSmokeTest, RepackRejectsBadInvocations) {
   EXPECT_EQ(run(tools_dir() + "/das_repack only_one_arg.dh5"), 2);
-  const std::string out = dir_->file("never.dh5");
+  const std::string out = out_->file("never.dh5");
   std::string first;
   for (const auto& e : std::filesystem::directory_iterator(dir_->str())) {
     if (e.path().extension() == ".dh5") {
@@ -196,12 +236,12 @@ TEST_F(ToolsSmokeTest, AnalyzeTelemetryProducesValidHealthFile) {
   // The acceptance run: >= 4 ranks, telemetry file out, then the file
   // must read back through the strict reader with one snapshot per
   // rank, from which the cluster view is derived.
-  const std::string tele = dir_->file("run.tlm");
+  const std::string tele = out_->file("run.tlm");
   ASSERT_EQ(run(tools_dir() + "/das_analyze --dir " + dir_->str() +
                 " --pipeline similarity --window-half 4 --lag-half 2 "
                 "--nodes 4 --cores 2 --telemetry " + tele +
                 " --telemetry-period-ms 5 --out " +
-                dir_->file("tele_out.dh5")),
+                out_->file("tele_out.dh5")),
             0);
 
   const telemetry::TelemetryFile file = telemetry::read_telemetry_file(tele);
@@ -224,7 +264,7 @@ TEST_F(ToolsSmokeTest, AnalyzeTelemetryProducesValidHealthFile) {
 
   // das_top --file checks the same file and renders its report.
   EXPECT_EQ(run(tools_dir() + "/das_top --file " + tele), 0);
-  EXPECT_EQ(run(tools_dir() + "/das_top --file " + dir_->file("absent.tlm")),
+  EXPECT_EQ(run(tools_dir() + "/das_top --file " + out_->file("absent.tlm")),
             1);
   EXPECT_EQ(run(tools_dir() + "/das_top"), 2);
 
@@ -238,7 +278,7 @@ TEST_F(ToolsSmokeTest, AnalyzeTelemetryProducesValidHealthFile) {
   }
   ASSERT_GT(bytes.size(), 16u);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x20);
-  const std::string bad = dir_->file("bad.tlm");
+  const std::string bad = out_->file("bad.tlm");
   {
     std::ofstream out(bad, std::ios::binary);
     out << bytes;
@@ -322,6 +362,45 @@ TEST_F(ToolsSmokeTest, IngestOnceMatchesAnalyzeByteForByte) {
 TEST_F(ToolsSmokeTest, IngestRequiresSpoolAndOut) {
   EXPECT_EQ(run(tools_dir() + "/das_ingest --out x.dh5 --once"), 2);
   EXPECT_EQ(run(tools_dir() + "/das_ingest --spool /tmp --once"), 2);
+}
+
+TEST(ServeDaemonSmoke, RepeatedPollsUnderALowFdLimitAllSucceed) {
+  // das_top --once polls each open a connection and hang up. A daemon
+  // that kept every finished connection would run out of its 32 fds
+  // after a few dozen polls and leave the next one waiting unanswered
+  // in the accept backlog (hence the timeout).
+  TmpDir dir("tools_serve_fds");
+  const std::string archive = generate_archive(dir);
+  const std::string sock = dir.file("s.sock");
+  const pid_t pid = spawn_shell("ulimit -n 32; exec " + tools_dir() +
+                                "/das_serve --socket " + sock +
+                                " --archive " + archive +
+                                " > /dev/null 2>&1");
+  ASSERT_GT(pid, 0);
+  for (int i = 0; i < 200 && !std::filesystem::exists(sock); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const bool listening = std::filesystem::exists(sock);
+  int first_failure = -1;
+  for (int i = 0; listening && i < 100 && first_failure < 0; ++i) {
+    if (run("timeout 10 " + tools_dir() + "/das_top --socket " + sock +
+            " --once") != 0) {
+      first_failure = i;
+    }
+  }
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  EXPECT_EQ(wait_exit(pid), 0);
+  EXPECT_TRUE(listening);
+  EXPECT_EQ(first_failure, -1);
+}
+
+TEST(ServeDaemonSmoke, UnbindableSocketExitsOne) {
+  TmpDir dir("tools_serve_bind");
+  const std::string archive = generate_archive(dir);
+  EXPECT_EQ(run(tools_dir() +
+                "/das_serve --socket /nonexistent-dassa-dir/s.sock "
+                "--archive " + archive),
+            1);
 }
 
 }  // namespace

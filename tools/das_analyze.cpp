@@ -32,8 +32,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "arg_parse.hpp"
-#include "dassa/common/counters.hpp"
+#include "tool_common.hpp"
 #include "dassa/common/log.hpp"
 #include "dassa/common/metrics.hpp"
 #include "dassa/common/telemetry.hpp"
@@ -47,26 +46,6 @@
 namespace {
 
 using namespace dassa;
-
-/// One structured record per counter namespace: a cold plan cache or
-/// runaway allocation shows up here long before it shows up in wall
-/// time.
-void log_counters(const char* event, const char* prefix1,
-                  const char* prefix2) {
-  std::string line;
-  for (const auto& [name, value] : global_counters().snapshot()) {
-    if (name.rfind(prefix1, 0) == 0 ||
-        (prefix2 != nullptr && name.rfind(prefix2, 0) == 0)) {
-      line += ' ';
-      line += name;
-      line += '=';
-      line += std::to_string(value);
-    }
-  }
-  if (!line.empty()) {
-    DASSA_SLOG(kInfo, event) << line;
-  }
-}
 
 /// Export the recorded spans as chrome://tracing JSON plus a per-span
 /// summary and the unified metrics report. No-op unless --trace given.
@@ -88,29 +67,6 @@ void maybe_export_trace(const tools::Args& args) {
       << summary.str();
 }
 
-/// Write the telemetry file -- the sampler timeline plus the engine's
-/// per-rank snapshots -- then read the bytes on disk back through the
-/// strict reader: the run report only prints if the file round-trips.
-void export_telemetry(const std::string& path, const tools::Args& args,
-                      const core::EngineReport& report,
-                      const telemetry::TelemetrySampler& sampler) {
-  telemetry::TelemetryFile file;
-  file.meta["tool"] = "das_analyze";
-  file.meta["pipeline"] = args.get("--pipeline");
-  file.meta["world_size"] = std::to_string(report.world_size);
-  file.meta["threads_per_rank"] = std::to_string(report.threads_per_rank);
-  file.timeline = sampler.timeline();
-  file.ranks = report.telemetry.per_rank;
-  telemetry::write_telemetry_file(path, file);
-  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
-  DASSA_SLOG(kInfo, "analyze.telemetry")
-      .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
-      .field("ranks", static_cast<std::uint64_t>(back.ranks.size()))
-      .field("evicted", sampler.evicted());
-  telemetry::write_health_report(std::cout, back);
-}
-
 std::vector<std::string> find_files(const tools::Args& args) {
   const das::Catalog catalog = das::Catalog::scan(args.get("--dir"));
   std::vector<das::DasFileInfo> hits;
@@ -124,14 +80,6 @@ std::vector<std::string> find_files(const tools::Args& args) {
     hits = catalog.entries();
   }
   return das::Catalog::paths(hits);
-}
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  throw InvalidArgument("unknown log level: " + name);
 }
 
 }  // namespace
@@ -148,8 +96,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    set_log_level(parse_log_level(args.get("--log-level", "info")));
-    if (args.has("--log-json")) set_log_file(args.get("--log-json"));
+    tools::configure_logging(args);
     if (args.has("--trace")) trace::set_enabled(true);
 
     telemetry::SamplerConfig sampler_config;
@@ -232,8 +179,9 @@ int main(int argc, char** argv) {
                               qc.count(das::ChannelStatus::kNoisy)))
           .field("median_rms", qc.median_rms);
       dsp::publish_dsp_counters();
-      log_counters("analyze.dsp_counters", "dsp.", nullptr);
-      log_counters("analyze.storage_counters", "io.codec.", "io.cache.");
+      tools::log_counters("analyze.dsp_counters", {"dsp."});
+      tools::log_counters("analyze.storage_counters",
+                          {"io.codec.", "io.cache."});
       maybe_export_trace(args);
       if (args.has("--telemetry")) {
         sampler.stop();
@@ -253,8 +201,8 @@ int main(int argc, char** argv) {
             .field("world_size", report.world_size)
         << stages.str();
     dsp::publish_dsp_counters();
-    log_counters("analyze.dsp_counters", "dsp.", nullptr);
-    log_counters("analyze.storage_counters", "io.codec.", "io.cache.");
+    tools::log_counters("analyze.dsp_counters", {"dsp."});
+    tools::log_counters("analyze.storage_counters", {"io.codec.", "io.cache."});
     const std::string out_path =
         args.has("--out") ? args.get("--out") : args.get("-o");
     io::Dash5Header header;
@@ -266,7 +214,17 @@ int main(int argc, char** argv) {
     if (args.has("--telemetry")) {
       sampler.stop();
       sampler.tick();  // final sample: the completed run's totals
-      export_telemetry(args.get("--telemetry"), args, report, sampler);
+      // The sampler timeline plus the engine's per-rank snapshots.
+      telemetry::TelemetryFile file;
+      file.meta = {{"tool", "das_analyze"},
+                   {"pipeline", pipeline},
+                   {"world_size", std::to_string(report.world_size)},
+                   {"threads_per_rank",
+                    std::to_string(report.threads_per_rank)}};
+      file.ranks = report.telemetry.per_rank;
+      tools::export_telemetry(args.get("--telemetry"), std::move(file),
+                              sampler, "analyze.telemetry",
+                              /*report=*/true);
     }
     return 0;
   } catch (const std::exception& e) {

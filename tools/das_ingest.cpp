@@ -42,8 +42,7 @@
 #include <memory>
 #include <thread>
 
-#include "arg_parse.hpp"
-#include "dassa/common/counters.hpp"
+#include "tool_common.hpp"
 #include "dassa/common/log.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/common/trace.hpp"
@@ -63,55 +62,6 @@ std::atomic<bool> g_flush{false};
 void handle_signal(int) { g_stop.store(true); }
 
 void handle_flush(int) { g_flush.store(true); }
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  throw InvalidArgument("unknown log level: " + name);
-}
-
-/// One structured record for the ingest.* counters after the drain.
-void log_ingest_counters() {
-  std::string line;
-  for (const auto& [name, value] : global_counters().snapshot()) {
-    if (name.rfind("ingest.", 0) == 0) {
-      line += ' ';
-      line += name;
-      line += '=';
-      line += std::to_string(value);
-    }
-  }
-  if (!line.empty()) {
-    DASSA_SLOG(kInfo, "ingest.counters") << line;
-  }
-}
-
-/// Telemetry export mirroring das_analyze: write, read back through
-/// the strict reader, then print the run report. The final timeline
-/// sample carries the ingest latency histograms
-/// (ingest.file_to_detection above all -- what bench_ingest gates
-/// p50/p99 on). `final_report` additionally prints the run report to
-/// stdout -- the end-of-run path; SIGUSR1 flushes skip it.
-void export_telemetry(const std::string& path,
-                      const core::EngineConfig& engine,
-                      const telemetry::TelemetrySampler& sampler,
-                      bool final_report) {
-  telemetry::TelemetryFile file;
-  file.meta["tool"] = "das_ingest";
-  file.meta["pipeline"] = "similarity";
-  file.meta["world_size"] = std::to_string(engine.world_size());
-  file.meta["threads_per_rank"] = std::to_string(engine.threads_per_rank());
-  file.timeline = sampler.timeline();
-  telemetry::write_telemetry_file(path, file);
-  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
-  DASSA_SLOG(kInfo, "ingest.telemetry")
-      .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
-      .field("evicted", sampler.evicted());
-  if (final_report) telemetry::write_health_report(std::cout, back);
-}
 
 /// Producer loop: poll the spool, push admitted files into the queue.
 /// Exits (closing the queue) on shutdown, or -- in once mode -- as soon
@@ -162,8 +112,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    set_log_level(parse_log_level(args.get("--log-level", "info")));
-    if (args.has("--log-json")) set_log_file(args.get("--log-json"));
+    tools::configure_logging(args);
 
     telemetry::SamplerConfig sampler_config;
     sampler_config.period = std::chrono::milliseconds(
@@ -192,6 +141,14 @@ int main(int argc, char** argv) {
                           ? core::EngineMode::kMpiPerCore
                           : core::EngineMode::kHybrid;
     cfg.vca_index_path = args.get("--vca-index", "");
+    // Its final timeline sample carries the ingest latency histograms
+    // (ingest.file_to_detection: what bench_ingest gates p50/p99 on).
+    telemetry::TelemetryFile tlm;
+    tlm.meta = {{"tool", "das_ingest"},
+                {"pipeline", "similarity"},
+                {"world_size", std::to_string(cfg.engine.world_size())},
+                {"threads_per_rank",
+                 std::to_string(cfg.engine.threads_per_rank())}};
 
     const auto queue = std::make_shared<ingest::BoundedQueue<
         ingest::SpoolFile>>(
@@ -239,13 +196,13 @@ int main(int argc, char** argv) {
       }
     } flusher_joiner{flusher_stop, flusher};
     if (args.has("--telemetry")) {
-      flusher = std::thread([&args, &cfg, &sampler, &flusher_stop] {
+      flusher = std::thread([&args, &tlm, &sampler, &flusher_stop] {
         while (!flusher_stop.load()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
           if (g_flush.exchange(false)) {
             sampler.tick();
-            export_telemetry(args.get("--telemetry"), cfg.engine, sampler,
-                             /*final_report=*/false);
+            tools::export_telemetry(args.get("--telemetry"), tlm, sampler,
+                                    "ingest.telemetry", /*report=*/false);
           }
         }
       });
@@ -298,7 +255,7 @@ int main(int argc, char** argv) {
         .field("windows", result.windows)
         .field("quarantined", watcher.quarantined())
         .field("events", static_cast<std::uint64_t>(result.events.size()));
-    log_ingest_counters();
+    tools::log_counters("ingest.counters", {"ingest."});
 
     const std::string out_path =
         args.has("--out") ? args.get("--out") : args.get("-o");
@@ -326,8 +283,8 @@ int main(int argc, char** argv) {
       flusher.join();
       sampler.stop();
       sampler.tick();  // final sample: the completed drain's totals
-      export_telemetry(args.get("--telemetry"), cfg.engine, sampler,
-                       /*final_report=*/true);
+      tools::export_telemetry(args.get("--telemetry"), tlm, sampler,
+                              "ingest.telemetry", /*report=*/true);
     }
     return 0;
   } catch (const std::exception& e) {

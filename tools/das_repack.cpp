@@ -27,7 +27,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "arg_parse.hpp"
+#include "tool_common.hpp"
 #include "dassa/common/log.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/das/search.hpp"
@@ -84,7 +84,6 @@ void export_telemetry(const std::string& path, std::size_t n_inputs,
   telemetry::TelemetryFile file;
   file.meta["tool"] = "das_repack";
   file.meta["inputs"] = std::to_string(n_inputs);
-  file.timeline = sampler.timeline();
   if (report != nullptr) {
     const std::size_t p = report->rank_source_bytes.size();
     file.meta["world_size"] = std::to_string(p);
@@ -98,12 +97,8 @@ void export_telemetry(const std::string& path, std::size_t n_inputs,
       file.ranks.push_back(std::move(rank));
     }
   }
-  telemetry::write_telemetry_file(path, file);
-  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
-  DASSA_SLOG(kInfo, "repack.telemetry")
-          .field("path", path)
-          .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
-      << "checked";
+  tools::export_telemetry(path, std::move(file), sampler, "repack.telemetry",
+                          /*report=*/false);
 }
 
 /// Multi-input mode: concatenate `inputs` into one merged file —

@@ -33,8 +33,7 @@
 #include <iostream>
 #include <thread>
 
-#include "arg_parse.hpp"
-#include "dassa/common/counters.hpp"
+#include "tool_common.hpp"
 #include "dassa/common/log.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/common/trace.hpp"
@@ -50,50 +49,6 @@ std::atomic<bool> g_flush{false};
 void handle_signal(int) { g_stop.store(true); }
 
 void handle_flush(int) { g_flush.store(true); }
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  throw InvalidArgument("unknown log level: " + name);
-}
-
-/// One structured record for the serve.* counters after the drain.
-void log_serve_counters() {
-  std::string line;
-  for (const auto& [name, value] : global_counters().snapshot()) {
-    if (name.rfind("serve.", 0) == 0 || name.rfind("io.index.", 0) == 0) {
-      line += ' ';
-      line += name;
-      line += '=';
-      line += std::to_string(value);
-    }
-  }
-  if (!line.empty()) {
-    DASSA_SLOG(kInfo, "serve.counters") << line;
-  }
-}
-
-/// Write the telemetry file and read it back through the strict
-/// reader. `final_report` additionally prints the run report to stdout
-/// -- the end-of-run path; SIGUSR1 flushes skip it so a live daemon's
-/// stdout stays quiet.
-void export_telemetry(const std::string& path,
-                      const telemetry::TelemetrySampler& sampler,
-                      bool final_report) {
-  telemetry::TelemetryFile file;
-  file.meta["tool"] = "das_serve";
-  file.meta["pipeline"] = "serve";
-  file.timeline = sampler.timeline();
-  telemetry::write_telemetry_file(path, file);
-  const telemetry::TelemetryFile back = telemetry::read_telemetry_file(path);
-  DASSA_SLOG(kInfo, "serve.telemetry")
-      .field("path", path)
-      .field("samples", static_cast<std::uint64_t>(back.timeline.size()))
-      .field("evicted", sampler.evicted());
-  if (final_report) telemetry::write_health_report(std::cout, back);
-}
 
 }  // namespace
 
@@ -114,13 +69,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    set_log_level(parse_log_level(args.get("--log-level", "info")));
-    if (args.has("--log-json")) set_log_file(args.get("--log-json"));
+    tools::configure_logging(args);
 
     telemetry::SamplerConfig sampler_config;
     sampler_config.period = std::chrono::milliseconds(
         args.get_long("--telemetry-period-ms", 25));
     telemetry::TelemetrySampler sampler(sampler_config);
+    telemetry::TelemetryFile tlm;
+    tlm.meta = {{"tool", "das_serve"}, {"pipeline", "serve"}};
     if (args.has("--telemetry")) {
       trace::set_enabled(true);
       sampler.start();
@@ -154,18 +110,18 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       if (g_flush.exchange(false) && args.has("--telemetry")) {
         sampler.tick();
-        export_telemetry(args.get("--telemetry"), sampler,
-                         /*final_report=*/false);
+        tools::export_telemetry(args.get("--telemetry"), tlm, sampler,
+                                "serve.telemetry", /*report=*/false);
       }
     }
     server.stop();
-    log_serve_counters();
+    tools::log_counters("serve.counters", {"serve.", "io.index."});
 
     if (args.has("--telemetry")) {
       sampler.stop();
       sampler.tick();
-      export_telemetry(args.get("--telemetry"), sampler,
-                       /*final_report=*/true);
+      tools::export_telemetry(args.get("--telemetry"), tlm, sampler,
+                              "serve.telemetry", /*report=*/true);
     }
     return 0;
   } catch (const std::exception& e) {
