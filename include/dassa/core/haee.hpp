@@ -56,7 +56,7 @@ struct EngineConfig {
   int cores_per_node = 1;
   EngineMode mode = EngineMode::kHybrid;
   ReadMethod read_method = ReadMethod::kCommunicationAvoiding;
-  std::size_t halo_channels = 0;  ///< ghost-zone width for cell UDFs
+  std::size_t halo_channels = 0;  ///< ghost-zone width (neighbour channels)
   HaloMode halo_mode = HaloMode::kExchange;
   bool gather_output = true;      ///< gather result rows onto rank 0
   /// When non-empty, the engine also writes the output as one DASH5
@@ -106,12 +106,13 @@ struct EngineReport {
   ClusterTelemetry telemetry;
 };
 
-/// Run a cell-granularity UDF (e.g. local similarity) distributed.
+/// Run a cell-granularity UDF distributed.
 [[nodiscard]] EngineReport run_cells(const EngineConfig& config,
                                      const io::Vca& vca,
                                      const ScalarUdfFactory& factory);
 
-/// Run a channel-granularity UDF (e.g. interferometry) distributed.
+/// Run a channel-granularity UDF (e.g. local similarity,
+/// interferometry) distributed.
 /// `extra_bytes_per_rank`, if provided, is the size of rank-duplicated
 /// state (master channel etc.) used for the memory model.
 [[nodiscard]] EngineReport run_rows(const EngineConfig& config,

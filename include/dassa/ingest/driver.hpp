@@ -112,8 +112,10 @@ class IngestDriver {
 };
 
 /// The margin (one-sided column dependency span) of the similarity
-/// UDF: window_half + lag_half. Emit regions stay this far from
-/// interior window edges so streamed output matches offline output.
+/// UDF: LocalSimilarityParams::margin_cols(), 3 x window_half +
+/// lag_half. Emit regions stay this far from interior window edges so
+/// streamed output matches offline output. Throws InvalidArgument on
+/// invalid parameters.
 [[nodiscard]] std::size_t udf_margin_cols(
     const das::LocalSimilarityParams& p);
 

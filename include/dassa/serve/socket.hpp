@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -64,8 +65,8 @@ class Connection {
 };
 
 /// A listening Unix-domain socket bound to a filesystem path. The
-/// constructor removes a stale socket file at `path`; the destructor
-/// unlinks it again.
+/// constructor removes a stale socket file at `path` and throws
+/// IoError if anything else is there; the destructor unlinks it again.
 class Listener {
  public:
   explicit Listener(const std::string& path);
@@ -90,7 +91,11 @@ class Listener {
   std::atomic<bool> down_{false};
 };
 
-/// Client side: connect to a das_serve socket at `path`.
-[[nodiscard]] Connection connect_local(const std::string& path);
+/// Client side: connect to a das_serve socket at `path`. A non-zero
+/// `timeout` bounds the connect and every later send and read on the
+/// connection; one that expires throws IoError.
+[[nodiscard]] Connection connect_local(
+    const std::string& path,
+    std::chrono::milliseconds timeout = std::chrono::milliseconds{0});
 
 }  // namespace dassa::serve

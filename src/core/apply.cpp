@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dassa/common/counters.hpp"
+#include "dassa/common/sync.hpp"
 #include "dassa/common/thread_pool.hpp"
 #include "dassa/common/trace.hpp"
 
@@ -46,19 +47,6 @@ void fork_join(std::size_t n, int threads, const ChunkBody& body) {
   pool.parallel_for(n, body);
 }
 
-Array2D rows_from_results(const std::vector<std::vector<double>>& results) {
-  const std::size_t rows = results.size();
-  const std::size_t out_cols = rows == 0 ? 0 : results.front().size();
-  Array2D out(Shape2D{rows, out_cols});
-  for (std::size_t r = 0; r < rows; ++r) {
-    DASSA_CHECK(results[r].size() == out_cols,
-                "row UDF returned inconsistent lengths");
-    std::copy(results[r].begin(), results[r].end(),
-              out.data.begin() + static_cast<std::ptrdiff_t>(r * out_cols));
-  }
-  return out;
-}
-
 Stencil row_stencil(const LocalBlock& block, std::size_t owned_row) {
   return Stencil(block.data.data(), block.block_shape, block.global_row0,
                  block.owned_local.begin + owned_row, 0, block.global_shape);
@@ -99,16 +87,29 @@ Array2D apply_cells(const LocalBlock& block, const ScalarUdf& udf,
 
 Array2D apply_rows(const LocalBlock& block, const RowUdf& udf, int threads) {
   validate(block, threads);
-  std::vector<std::vector<double>> results(block.owned_rows());
-  fork_join(results.size(), threads, [&](std::size_t /*thread*/,
-                                         std::size_t begin, std::size_t end) {
+  const std::size_t rows = block.owned_rows();
+  // Each row is copied into the output as soon as it is computed, so the
+  // output is never held twice; the first row to finish fixes the width.
+  Array2D out;
+  Mutex out_mu;
+  fork_join(rows, threads, [&](std::size_t /*thread*/, std::size_t begin,
+                               std::size_t end) {
     DASSA_TRACE_SPAN("haee", "haee.apply_rows_chunk");
     for (std::size_t r = begin; r < end; ++r) {
-      results[r] = udf(row_stencil(block, r));
+      const std::vector<double> row = udf(row_stencil(block, r));
+      double* dst = nullptr;
+      {
+        MutexLock lock(out_mu);
+        if (out.shape.rows == 0) out = Array2D(Shape2D{rows, row.size()});
+        DASSA_CHECK(row.size() == out.shape.cols,
+                    "row UDF returned inconsistent lengths");
+        dst = out.data.data() + r * out.shape.cols;
+      }
+      std::copy(row.begin(), row.end(), dst);
       global_counters().add(counters::kTelemetryRowsProcessed);
     }
   });
-  return rows_from_results(results);
+  return out;
 }
 
 }  // namespace dassa::core

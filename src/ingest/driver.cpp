@@ -1,7 +1,6 @@
 #include "dassa/ingest/driver.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "dassa/common/counters.hpp"
@@ -13,10 +12,8 @@
 namespace dassa::ingest {
 
 std::size_t udf_margin_cols(const das::LocalSimilarityParams& p) {
-  DASSA_CHECK(p.window_half <= std::numeric_limits<std::size_t>::max() -
-                                   p.lag_half,
-              "similarity window + lag overflows");
-  return p.window_half + p.lag_half;
+  p.validate();
+  return p.margin_cols();
 }
 
 IngestDriver::IngestDriver(IngestConfig cfg)
@@ -82,8 +79,8 @@ void IngestDriver::process_window(const WindowSpec& w) {
       member_paths_.begin() +
           static_cast<std::ptrdiff_t>(w.first_file + w.file_count));
   const io::Vca sub = io::Vca::build(files);
-  core::EngineReport report =
-      das::local_similarity_distributed(cfg_.engine, sub, cfg_.similarity);
+  core::EngineReport report = das::local_similarity_distributed(
+      cfg_.engine, sub, cfg_.similarity, w.start_col);
 
   const std::size_t rows = report.output.shape.rows;
   const std::size_t lo = w.emit_lo - w.start_col;  // window-local

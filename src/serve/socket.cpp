@@ -3,6 +3,7 @@
 #include "dassa/serve/socket.hpp"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -32,6 +33,9 @@ void write_full(int fd, const void* src, std::size_t n) {
     const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw IoError("socket write timed out");
+      }
       throw_errno("socket write failed");
     }
     p += w;
@@ -51,6 +55,9 @@ bool read_full(int fd, void* dst, std::size_t n) {
       // A reset from a peer that vanished mid-conversation reads the
       // same as an abrupt close: end the stream, torn if mid-buffer.
       if (errno == ECONNRESET && got == 0) return false;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw IoError("socket read timed out");
+      }
       throw_errno("socket read failed");
     }
     if (r == 0) {
@@ -127,7 +134,17 @@ void Connection::shutdown() {
 Listener::Listener(const std::string& path) : path_(path) {
   DASSA_CHECK(!path.empty(), "listener needs a socket path");
   const sockaddr_un addr = local_address(path);
-  std::filesystem::remove(path);  // a stale socket file from a dead server
+  // Replace a stale socket file from a dead server, but nothing else:
+  // a path naming a regular file, directory or symlink is refused.
+  std::error_code ec;
+  const std::filesystem::file_status st =
+      std::filesystem::symlink_status(path, ec);
+  if (std::filesystem::is_socket(st)) {
+    std::filesystem::remove(path);
+  } else if (std::filesystem::exists(st)) {
+    throw IoError("socket path " + path +
+                  " exists and is not a socket; refusing to replace it");
+  }
   fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket() failed");
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
@@ -172,11 +189,27 @@ void Listener::shutdown() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-Connection connect_local(const std::string& path) {
+Connection connect_local(const std::string& path,
+                         std::chrono::milliseconds timeout) {
   DASSA_CHECK(!path.empty(), "connect_local needs a socket path");
+  DASSA_CHECK(timeout.count() >= 0, "socket timeout must not be negative");
   const sockaddr_un addr = local_address(path);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket() failed");
+  if (timeout.count() > 0) {
+    // One limit for every blocking call on this socket: connect (a
+    // full backlog), send and each read.
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) < 0 ||
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) < 0) {
+      const int saved = errno;
+      ::close(fd);
+      errno = saved;
+      throw_errno("setsockopt(" + path + ") failed");
+    }
+  }
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
       0) {
     const int saved = errno;

@@ -18,9 +18,9 @@
 namespace dassa::ingest {
 namespace {
 
-std::vector<std::string> make_acquisition(const testing::TmpDir& dir,
-                                          std::size_t files,
-                                          double seconds_per_file) {
+std::vector<std::string> make_acquisition(
+    const testing::TmpDir& dir, std::size_t files, double seconds_per_file,
+    io::DType dtype = io::DType::kF32) {
   das::SynthDas synth = das::SynthDas::fig1b_scene(/*channels=*/12,
                                                    /*sampling_hz=*/50.0,
                                                    /*seed=*/20260809);
@@ -28,6 +28,7 @@ std::vector<std::string> make_acquisition(const testing::TmpDir& dir,
   spec.dir = dir.str();
   spec.file_count = files;
   spec.seconds_per_file = seconds_per_file;
+  spec.dtype = dtype;
   return das::write_acquisition(synth, spec);
 }
 
@@ -110,6 +111,34 @@ TEST(IngestEquivalenceTest, DrainMidWindowStillMatchesBatch) {
   cfg.engine.cores_per_node = 1;
 
   const core::Array2D streamed = streamed_similarity(files, cfg);
+  const core::Array2D offline =
+      offline_similarity(files, cfg.similarity, cfg.engine);
+  EXPECT_EQ(streamed, offline);
+}
+
+TEST(IngestEquivalenceTest, EmitNearUnalignedWindowStartMatchesBatch) {
+  testing::TmpDir dir("equiv_origin");
+  // 4 x 35 columns of f64 samples (f32 ones make most running sums
+  // exact and would hide rounding differences), a 3-file window and a
+  // 1-file overlap. The drain window starts at column 35 or 70, neither
+  // a multiple of the kernel's restart block (2M+1 = 21), and emits from
+  // the carry onward. Had the planner used the neighbourhood alone
+  // (M+L = 15) as the margin, that window would start at column 70 and
+  // emit from column 90, before the running sums' first aligned restart
+  // inside it (column 105), so its cells would not match offline.
+  const auto files = make_acquisition(dir, 4, 0.7, io::DType::kF64);
+
+  IngestConfig cfg;
+  cfg.window_files = 3;
+  cfg.overlap_files = 1;
+  cfg.similarity = small_params();
+  cfg.detect = false;
+  cfg.engine.nodes = 2;
+  cfg.engine.cores_per_node = 1;
+
+  std::size_t windows = 0;
+  const core::Array2D streamed = streamed_similarity(files, cfg, &windows);
+  EXPECT_EQ(windows, 2u);
   const core::Array2D offline =
       offline_similarity(files, cfg.similarity, cfg.engine);
   EXPECT_EQ(streamed, offline);

@@ -18,6 +18,7 @@
 #include "dassa/common/telemetry.hpp"
 #include "dassa/io/dash5.hpp"
 #include "dassa/io/vca.hpp"
+#include "dassa/serve/socket.hpp"
 #include "testing/tmpdir.hpp"
 
 namespace dassa {
@@ -401,6 +402,40 @@ TEST(ServeDaemonSmoke, UnbindableSocketExitsOne) {
                 "/das_serve --socket /nonexistent-dassa-dir/s.sock "
                 "--archive " + archive),
             1);
+}
+
+TEST(ServeDaemonSmoke, SocketPathOnARegularFileExitsOneAndKeepsIt) {
+  TmpDir dir("tools_serve_notsock");
+  const std::string archive = generate_archive(dir);
+  const std::string notes = dir.file("notes.txt");
+  {
+    std::ofstream f(notes);
+    f << "not a socket\n";
+  }
+  // The timeout turns a daemon that replaced the file and started
+  // serving into a failure (124) instead of a hang.
+  EXPECT_EQ(run("timeout 30 " + tools_dir() + "/das_serve --socket " +
+                notes + " --archive " + archive),
+            1);
+  std::ifstream f(notes);
+  std::stringstream kept;
+  kept << f.rdbuf();
+  EXPECT_EQ(kept.str(), "not a socket\n");
+}
+
+TEST(ServeDaemonSmoke, TopGivesUpOnADaemonThatNeverAnswers) {
+  // A bound, listening socket whose accept is never called: the
+  // connect succeeds into the backlog, the kStats request is buffered,
+  // and no reply ever comes. das_top must give up on its own (exit 1)
+  // well before the outer timeout (exit 124).
+  TmpDir dir("tools_top_timeout");
+  const serve::Listener silent(dir.file("silent.sock"));
+  const auto t0 = std::chrono::steady_clock::now();
+  const int code = run("timeout 20 " + tools_dir() + "/das_top --socket " +
+                       silent.path() + " --once");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(code, 1);
+  EXPECT_LT(waited, std::chrono::seconds(15));
 }
 
 }  // namespace

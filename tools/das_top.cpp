@@ -24,12 +24,16 @@
 //           [--prom]             Prometheus text exposition (with --once)
 //   das_top --file <run.tlm>
 //
+// A daemon that does not accept or answer a poll within 5 s ends
+// das_top with exit 1.
+//
 // Both views flag stalls with the one dassa::stall() rule: an interval
 // where no counter moved (excluding the sampler's own
 // telemetry.samples tick and the stats.* / serve.bytes_* counters
 // das_top itself advances by polling) while spans were open or
 // requests were queued.
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -51,6 +55,11 @@ namespace {
 using namespace dassa;
 
 std::atomic<bool> g_stop{false};
+
+/// Bound on connecting to the daemon and on each kStats round trip, so
+/// a daemon that never accepts or never answers ends the poll (exit 1)
+/// instead of hanging it.
+constexpr std::chrono::seconds kPollTimeout{5};
 
 void handle_signal(int) { g_stop.store(true); }
 
@@ -225,7 +234,8 @@ int main(int argc, char** argv) {
           std::cout, telemetry::read_telemetry_file(args.get("--file")));
       return 0;
     }
-    serve::Connection conn = serve::connect_local(args.get("--socket"));
+    serve::Connection conn =
+        serve::connect_local(args.get("--socket"), kPollTimeout);
     if (args.has("--once")) {
       const Snapshot s = serve::fetch_stats(conn);
       if (args.has("--prom")) {
