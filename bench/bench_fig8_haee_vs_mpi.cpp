@@ -16,6 +16,8 @@
 // measured stage walls plus the structural metrics the paper's
 // explanation rests on: I/O calls, master-channel copies, and modeled
 // peak bytes/node (the OOM predictor).
+#include <thread>
+
 #include "bench_util.hpp"
 #include "dassa/das/interferometry.hpp"
 
@@ -59,7 +61,8 @@ int main() {
   bench::section("Fig 8: MPI ArrayUDF vs Hybrid ArrayUDF (HAEE), " +
                  std::to_string(cores) + " cores/node");
   std::cout << "data: " << vca.shape() << ", node memory budget: "
-            << node_budget_bytes << " bytes\n\n";
+            << node_budget_bytes << " bytes, host cores: "
+            << std::thread::hardware_concurrency() << "\n\n";
   Table t({"nodes", "engine", "read_s", "compute_s", "write_s", "io_calls",
            "master_copies", "peak_B/node", "status"});
 

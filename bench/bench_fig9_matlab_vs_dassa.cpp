@@ -8,13 +8,17 @@
 //
 // The baseline reproduces MATLAB's execution structure (stage-at-a-
 // time, full-array temporaries, pass-by-value copies, serial channel
-// loop; see src/das/baseline.cpp). This host has one core, so the
-// thread-level part of the gap cannot appear in wall time; the bench
-// therefore reports, per the substitution note in EXPERIMENTS.md:
-//   * measured single-core walls (structure-only gap), and
-//   * the modeled 12-thread compute walls: DASSA's per-channel
-//     pipeline divides across threads; the baseline's serial channel
-//     loop does not (MATLAB for-loops are single-threaded).
+// loop; see src/das/baseline.cpp). The host may have fewer cores than
+// the paper's 12 threads, so the bench reports, per the substitution
+// note in EXPERIMENTS.md:
+//   * measured one-thread walls (structure-only gap);
+//   * measured 12-thread walls on the host's cores; and
+//   * the modeled 12-thread compute walls: DASSA's one-thread
+//     per-channel pipeline divided across 12 threads; the baseline's
+//     serial channel loop does not divide (MATLAB for-loops are
+//     single-threaded).
+#include <thread>
+
 #include "bench_util.hpp"
 #include "dassa/das/baseline.hpp"
 
@@ -45,6 +49,8 @@ int main() {
 
   const das::BaselineReport matlab =
       das::baseline_interferometry(data, params);
+  const das::BaselineReport dassa_1t =
+      das::dassa_interferometry(data, params, 1);
   const das::BaselineReport dassa =
       das::dassa_interferometry(data, params, threads);
 
@@ -56,6 +62,7 @@ int main() {
   const double write_s = write_timer.seconds();
 
   const double matlab_compute = matlab.stages.total();
+  const double dassa_compute_1t = dassa_1t.stages.total();
   const double dassa_compute = dassa.stages.total();
 
   // Modeled 12-thread walls: DASSA's channel loop divides by
@@ -64,16 +71,23 @@ int main() {
   // per-channel vector sizes, per the paper's explanation).
   const double speedup_threads =
       static_cast<double>(std::min<std::size_t>(threads, channels));
-  const double dassa_compute_12t = dassa_compute / speedup_threads;
+  const double dassa_compute_12t = dassa_compute_1t / speedup_threads;
 
   bench::section("Fig 9: MATLAB-style baseline vs DASSA, single node");
-  std::cout << "input: " << data.shape << " (scaled 1-minute file)\n\n";
-  Table t({"system", "read_s", "compute_s", "write_s", "model12t_s"});
-  t.row("MATLAB-style", read_s, matlab_compute, write_s, matlab_compute);
-  t.row("DASSA", read_s, dassa_compute, write_s, dassa_compute_12t);
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::cout << "input: " << data.shape << " (scaled 1-minute file), host "
+            << "cores: " << cores << "\n\n";
+  Table t({"system", "read_s", "compute_1t_s", "compute_12t_s", "write_s",
+           "model12t_s"});
+  t.row("MATLAB-style", read_s, matlab_compute, matlab_compute, write_s,
+        matlab_compute);
+  t.row("DASSA", read_s, dassa_compute_1t, dassa_compute, write_s,
+        dassa_compute_12t);
 
-  std::cout << "\nmeasured single-core compute ratio (structure only): "
-            << matlab_compute / dassa_compute << "x\n"
+  std::cout << "\nmeasured one-thread compute ratio (structure only): "
+            << matlab_compute / dassa_compute_1t << "x\n"
+            << "measured 12-thread compute ratio on " << cores
+            << " cores: " << matlab_compute / dassa_compute << "x\n"
             << "modeled 12-thread compute ratio: "
             << matlab_compute / dassa_compute_12t
             << "x  (paper: up to 16x)\n"

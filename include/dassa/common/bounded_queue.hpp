@@ -12,7 +12,7 @@
 // / push_blocked / peak_depth) through the QueueCounterNames it is
 // constructed with -- ingest.queue.* and serve.queue.* share this one
 // implementation, so "pushed == popped after a clean drain" is the
-// same no-drop invariant in both benches. Pass `{}` for an uncounted
+// same no-drop invariant in both subsystems' tests. Pass `{}` for an uncounted
 // internal queue.
 #pragma once
 

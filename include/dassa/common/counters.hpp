@@ -167,8 +167,9 @@ inline constexpr const char* kTelemetryPipelineRows =
 // Streaming ingest subsystem (src/ingest/): spool admission, live-VCA
 // growth, and sliding-window progress. Queue occupancy counters live
 // under ingest.queue.* (pushed == popped after a clean drain is the
-// no-drop invariant bench_ingest asserts); the instantaneous depth is
-// the "ingest.queue.depth" gauge das_ingest registers.
+// no-drop invariant IngestEquivalenceTest.UndersizedQueuePipeline*
+// asserts); the instantaneous depth is the "ingest.queue.depth" gauge
+// das_ingest registers.
 inline constexpr const char* kIngestPolls = "ingest.polls";
 inline constexpr const char* kIngestFilesAdmitted = "ingest.files_admitted";
 inline constexpr const char* kIngestFilesQuarantined =
@@ -187,8 +188,8 @@ inline constexpr const char* kIngestQueuePeakDepth =
 // fence-pointer sidecar that makes VCA time-range lookups sub-linear.
 // entry_touches counts comparator probes plus emitted entries, so the
 // O(log n + k) shape of an indexed query is assertable against the
-// linear fallback's n touches (tests/io/test_interval_index.cpp and
-// the bench_serve index gate pin both).
+// linear fallback's n touches (tests/io/test_interval_index.cpp pins
+// both).
 inline constexpr const char* kIoIndexLoads = "io.index.loads";
 inline constexpr const char* kIoIndexPublishes = "io.index.publishes";
 inline constexpr const char* kIoIndexQueries = "io.index.queries";
@@ -199,7 +200,7 @@ inline constexpr const char* kIoIndexFallbacks = "io.index.fallbacks";
 // lives under serve.queue.* (same no-drop invariant as ingest.queue.*,
 // via the shared dassa::BoundedQueue); batch.coalesced counts requests
 // that shared another request's union read -- the cache-share evidence
-// bench_serve gates on.
+// ServeConcurrency.SharedDecodeHalvesPerRequestDecodes asserts on.
 inline constexpr const char* kServeConnections = "serve.connections";
 inline constexpr const char* kServeRequests = "serve.requests";
 inline constexpr const char* kServeResponses = "serve.responses";

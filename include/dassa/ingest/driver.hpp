@@ -13,8 +13,8 @@
 // Per-file latency: every admitted file carries its admission
 // timestamp; when the emit frontier passes the file's last column its
 // ingest-to-detection latency is recorded into the
-// "ingest.file_to_detection" histogram -- the distribution bench_ingest
-// gates on (p50/p99).
+// "ingest.file_to_detection" histogram, one record per file (pinned,
+// with p50/p99 ceilings, by tests/ingest/test_ingest_equivalence.cpp).
 //
 // Single-threaded: the daemon's consumer thread owns the driver.
 #pragma once

@@ -24,7 +24,7 @@ namespace dassa::ingest {
 
 /// The ingest admission queue: dassa::BoundedQueue charging
 /// ingest.queue.* (pushed == popped after a clean drain is the no-drop
-/// invariant bench_ingest asserts).
+/// invariant IngestEquivalenceTest.UndersizedQueuePipeline* asserts).
 template <typename T>
 class BoundedQueue : public dassa::BoundedQueue<T> {
  public:

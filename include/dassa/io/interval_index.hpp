@@ -8,8 +8,7 @@
 // coordinate system -- sorted by begin time. A range query is then a
 // binary search for the first overlapping member followed by a scan of
 // the k hits: O(log n + k) entry touches, counter-pinned
-// (io.index.entry_touches) by tests/io/test_interval_index.cpp and the
-// bench_serve index gate.
+// (io.index.entry_touches) by tests/io/test_interval_index.cpp.
 //
 // The file rides next to its array as "<path>.tix" and is republished
 // atomically by the same writers that publish the .vca: `das_search

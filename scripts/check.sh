@@ -296,14 +296,6 @@ leg_bench() {
   step "bench: storage codec + chunk-cache gate (BENCH_codec.json)"
   cmake --build --preset default -j "${JOBS}" --target bench_codec
   ./build/bench/bench_codec --check
-
-  step "bench: streaming ingest latency gate (BENCH_ingest.json)"
-  cmake --build --preset default -j "${JOBS}" --target bench_ingest
-  python3 bench/bench_compare.py --ingest-bin build/bench/bench_ingest
-
-  step "bench: query-serving shared-decode gate (BENCH_serve.json)"
-  cmake --build --preset default -j "${JOBS}" --target bench_serve
-  python3 bench/bench_compare.py --serve-bin build/bench/bench_serve
 }
 
 # --------------------------------------------------------------- drive

@@ -5,7 +5,8 @@
 // pairs per (pid, tid) lane, monotonic timestamps -- under both a
 // single thread and rank-threads x pool-threads. The five-layer test
 // drives a real v3 acquisition through the engine and requires spans
-// from io, codec, cache, par_read, haee, and dsp in one trace.
+// from io, codec, cache, par_read, haee, and dsp in one trace. One case
+// bounds what das_serve's request tracing costs a request.
 #include "dassa/common/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "dassa/common/error.hpp"
 #include "dassa/common/metrics.hpp"
 #include "dassa/common/thread_pool.hpp"
+#include "dassa/common/timer.hpp"
 #include "dassa/core/haee.hpp"
 #include "dassa/dsp/fft.hpp"
 #include "dassa/io/dash5.hpp"
@@ -115,6 +117,27 @@ TEST_F(TraceTest, SpanDurationsFeedMetricsHistograms) {
   const HistogramSnapshot snap =
       global_metrics().histogram("test.outer").snapshot();
   EXPECT_GE(snap.quantile_ns(0.99), snap.quantile_ns(0.5));
+}
+
+TEST_F(TraceTest, RequestTracingCostsUnder20UsPerRequest) {
+  // What das_serve's request tracing adds to one request's hot path:
+  // 5 clock reads and 4 histogram records. 20 us is 1% of a ~2 ms
+  // served request.
+  constexpr int kIters = 100000;
+  LatencyHistogram stages;
+  const WallTimer timer;
+  for (int i = 0; i < kIters; ++i) {
+    const std::uint64_t t0 = detail::now_ns();
+    const std::uint64_t t1 = detail::now_ns();
+    const std::uint64_t t2 = detail::now_ns();
+    const std::uint64_t t3 = detail::now_ns();
+    const std::uint64_t t4 = detail::now_ns();
+    stages.record_ns(t1 - t0);
+    stages.record_ns(t2 - t1);
+    stages.record_ns(t3 - t2);
+    stages.record_ns(t4 - t3);
+  }
+  EXPECT_LE(timer.seconds() * 1e9 / kIters, 20000.0);
 }
 
 // ---- chrome-trace schema ---------------------------------------------

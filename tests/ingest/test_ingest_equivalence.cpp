@@ -1,17 +1,25 @@
 // The streaming contract (docs/INGEST.md): the sliding-window driver's
 // assembled similarity map is byte-identical to one offline pass over
 // the same files -- at world size 1 and at world size 4, across window
-// geometries, including windows that end mid-stream at drain time.
+// geometries, including windows that end mid-stream at drain time --
+// and through the daemon's whole in-process pipeline (spool watcher,
+// an undersized admission queue, driver) with no file lost.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "dassa/common/counters.hpp"
 #include "dassa/common/metrics.hpp"
+#include "dassa/common/telemetry.hpp"
 #include "dassa/core/haee.hpp"
 #include "dassa/das/local_similarity.hpp"
 #include "dassa/das/synth.hpp"
 #include "dassa/ingest/driver.hpp"
+#include "dassa/ingest/queue.hpp"
+#include "dassa/ingest/spool.hpp"
 #include "dassa/io/vca.hpp"
 #include "testing/tmpdir.hpp"
 
@@ -222,6 +230,102 @@ TEST(IngestEquivalenceTest, LiveVcaIndexRepublishesAtomically) {
     EXPECT_EQ(loaded.shape(), driver.live_vca().snapshot()->shape());
   }
   (void)driver.finish();
+}
+
+TEST(IngestEquivalenceTest, UndersizedQueuePipelineMatchesOfflineWithoutLoss) {
+  // das_ingest --once in-process: the SpoolWatcher producer thread, a
+  // BoundedQueue of capacity 2 and the IngestDriver consumer, with the
+  // telemetry sampler running every 10 ms. Counters are compared as
+  // deltas so the test holds when the whole binary runs as one process.
+  testing::TmpDir dir("equiv_pipeline");
+  constexpr std::size_t kFiles = 8;
+  constexpr std::size_t kCapacity = 2;
+  const auto files = make_acquisition(dir, kFiles, 4.0);  // 8 x 200 cols
+
+  IngestConfig cfg;
+  cfg.window_files = 3;
+  cfg.overlap_files = 1;
+  cfg.similarity = small_params();
+  cfg.detect = true;
+  cfg.engine.nodes = 2;
+  cfg.engine.cores_per_node = 2;
+  // Before the watcher runs: it moves any file it quarantines.
+  const core::Array2D offline =
+      offline_similarity(files, cfg.similarity, cfg.engine);
+
+  const auto counter = [](const char* name) {
+    return global_counters().get(name);
+  };
+  const std::uint64_t pushed0 = counter(counters::kIngestQueuePushed);
+  const std::uint64_t popped0 = counter(counters::kIngestQueuePopped);
+  const std::uint64_t blocked0 = counter(counters::kIngestQueuePushBlocked);
+  const std::uint64_t quarantined0 =
+      counter(counters::kIngestFilesQuarantined);
+  ASSERT_LE(counter(counters::kIngestQueuePeakDepth), kCapacity);
+  const HistogramSnapshot latency0 =
+      global_metrics().histogram("ingest.file_to_detection").snapshot();
+
+  telemetry::SamplerConfig sampler_config;
+  sampler_config.period = std::chrono::milliseconds(10);
+  telemetry::TelemetrySampler sampler(sampler_config);
+  BoundedQueue<SpoolFile> queue(kCapacity);
+  telemetry::register_gauge("ingest.queue.depth", [&queue] {
+    return static_cast<double>(queue.depth());
+  });
+  SpoolWatcher watcher(SpoolConfig{dir.str()});
+  IngestDriver driver(cfg);
+
+  sampler.start();
+  std::thread producer([&] {
+    while (true) {
+      const auto admitted = watcher.poll();
+      for (auto f : admitted) {
+        if (!queue.push(std::move(f))) return;
+      }
+      if (admitted.empty() && watcher.pending() == 0) break;
+    }
+    queue.close();
+  });
+  // The second poll admits all 8 files at once, so the producer's third
+  // push finds the queue full. push() charges push_blocked before it
+  // waits: holding the first pop until that charge lands makes the
+  // backpressure deterministic. The deadline only keeps a queue that
+  // never blocks from hanging the test.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter(counters::kIngestQueuePushBlocked) == blocked0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  while (auto f = queue.pop()) driver.add_file(*f);
+  producer.join();
+  const IngestResult result = driver.finish();
+  sampler.stop();
+  sampler.tick();
+  // The gauge registry is global: neutralise it before `queue` dies.
+  telemetry::register_gauge("ingest.queue.depth", [] { return 0.0; });
+
+  // The latency distribution as an operator reads it: off the telemetry
+  // file, through the strict reader.
+  const std::string telemetry_path = dir.file("ingest.tlm");
+  telemetry::TelemetryFile file;
+  file.timeline = sampler.timeline();
+  telemetry::write_telemetry_file(telemetry_path, file);
+  const auto hists = telemetry::final_histograms(
+      telemetry::read_telemetry_file(telemetry_path));
+  const auto it = hists.find("ingest.file_to_detection");
+  ASSERT_NE(it, hists.end());
+  const HistogramSnapshot latency = it->second.diff(latency0);
+
+  EXPECT_EQ(result.similarity, offline);
+  EXPECT_EQ(counter(counters::kIngestQueuePushed) - pushed0, kFiles);
+  EXPECT_EQ(counter(counters::kIngestQueuePopped) - popped0, kFiles);
+  EXPECT_EQ(counter(counters::kIngestFilesQuarantined) - quarantined0, 0u);
+  EXPECT_LE(counter(counters::kIngestQueuePeakDepth), kCapacity);
+  EXPECT_GE(counter(counters::kIngestQueuePushBlocked) - blocked0, 1u);
+  EXPECT_EQ(latency.count, kFiles);
+  EXPECT_LE(latency.quantile_ns(0.50), 1.0e9);
+  EXPECT_LE(latency.quantile_ns(0.99), 2.0e9);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // BoundedQueue: backpressure (block, never drop), close/drain
-// semantics, and the ingest.queue.* counters bench_ingest gates on.
+// semantics, and the ingest.queue.* counters the pipeline test in
+// test_ingest_equivalence.cpp asserts on.
 #include "dassa/ingest/queue.hpp"
 
 #include <gtest/gtest.h>

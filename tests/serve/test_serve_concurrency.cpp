@@ -2,13 +2,16 @@
 // concurrent clients with overlapping, disjoint and adversarial
 // windows, a slow-reading client exercising write-side backpressure,
 // and a mid-request shutdown drain where every admitted request is
-// still answered. The ServeFrontEnd cases pin the shared socket front
-// end: finished connections are reaped, and an unbindable socket
-// fails start() without leaving anything to crash on.
+// still answered. The shared-decode case pins what batching buys: one
+// shared handle behind the coalescing dispatcher decodes at most half
+// of what a fresh handle per request does. The ServeFrontEnd cases pin
+// the shared socket front end: finished connections are reaped, and an
+// unbindable socket fails start() without leaving anything to crash on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <filesystem>
 #include <iterator>
@@ -17,6 +20,7 @@
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
+#include "dassa/common/metrics.hpp"
 #include "dassa/common/telemetry.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/das/synth.hpp"
@@ -110,6 +114,111 @@ TEST(ServeConcurrency, OverlappingWindowsAllByteIdentical) {
   EXPECT_EQ(global_counters().get(counters::kServeQueuePushed),
             global_counters().get(counters::kServeQueuePopped))
       << "admitted requests were dropped";
+}
+
+TEST(ServeConcurrency, SharedDecodeHalvesPerRequestDecodes) {
+  // 8 clients x 4 requests of 512 columns, each window a quarter width
+  // past the previous client's (75% overlap), over 32 x 3200 columns.
+  TmpDir dir("serve_shared_decode");
+  ServedArchive archive(dir, /*channels=*/32, /*files=*/8,
+                        /*seconds_per_file=*/8.0);
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kPerClient = 4;
+  constexpr std::uint64_t kRequests = kClients * kPerClient;
+  constexpr std::size_t kWidth = 512;
+  constexpr std::size_t kStride = kWidth / 4;
+  const Shape2D shape = archive.reference.shape();
+  const std::size_t steps = (shape.cols - kWidth) / kStride + 1;
+  const auto slab_of = [&](std::size_t c, std::size_t r) {
+    return Slab2D{0, ((c + r * kClients) % steps) * kStride, shape.rows,
+                  kWidth};
+  };
+  std::vector<std::vector<double>> expected(kRequests);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t r = 0; r < kPerClient; ++r) {
+      expected[c * kPerClient + r] = archive.reference.read_slab(slab_of(c, r));
+    }
+  }
+  const auto count = [](const char* name) {
+    return global_counters().get(name);
+  };
+
+  // Baseline: a fresh handle per request has fresh file ids, so the
+  // global ChunkCache cannot help -- what a per-request server pays.
+  const std::uint64_t baseline0 = count(counters::kIoCodecDecodeCalls);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t r = 0; r < kPerClient; ++r) {
+      const io::Vca fresh = io::Vca::load(archive.vca_path);
+      ASSERT_EQ(fresh.read_slab(slab_of(c, r)), expected[c * kPerClient + r]);
+    }
+  }
+  const std::uint64_t baseline = count(counters::kIoCodecDecodeCalls) -
+                                 baseline0;
+  ASSERT_GT(baseline, 0u);
+
+  serve::ServeConfig cfg = base_config(dir, archive);
+  cfg.max_batch = 16;
+  cfg.coalesce_window_us = 20000;
+  const std::uint64_t served0 = count(counters::kIoCodecDecodeCalls);
+  const std::uint64_t pushed0 = count(counters::kServeQueuePushed);
+  const std::uint64_t popped0 = count(counters::kServeQueuePopped);
+  const std::uint64_t responses0 = count(counters::kServeResponses);
+  const std::uint64_t coalesced0 = count(counters::kServeBatchCoalesced);
+  const HistogramSnapshot latency0 =
+      global_metrics().histogram(serve::lat::kRequest).snapshot();
+  serve::Server server(cfg);
+  server.start();
+
+  // Every client sends its round-r frame before any client reads a
+  // round-r reply, so each round's requests meet in the dispatcher's
+  // 20 ms coalesce window.
+  std::barrier sent(static_cast<std::ptrdiff_t>(kClients));
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      serve::Connection conn = serve::connect_local(cfg.socket_path);
+      for (std::size_t r = 0; r < kPerClient; ++r) {
+        const Slab2D slab = slab_of(c, r);
+        serve::ReadRequest req;
+        req.id = r + 1;
+        req.row_cnt = slab.row_cnt;
+        req.col_off = slab.col_off;
+        req.col_cnt = slab.col_cnt;
+        conn.send_frame(serve::encode_request(req));
+        sent.arrive_and_wait();
+        const auto frame = conn.recv_frame();
+        if (!frame) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        const serve::ReadResponse resp = serve::decode_response(*frame);
+        if (!resp.ok || resp.id != req.id ||
+            resp.data != expected[c * kPerClient + r]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.stop();
+
+  const std::uint64_t served = count(counters::kIoCodecDecodeCalls) - served0;
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_LE(2 * served, baseline)
+      << "served decodes " << served << " vs per-request baseline "
+      << baseline << ": shared decode is not engaging";
+  EXPECT_GE(count(counters::kServeBatchCoalesced) - coalesced0, 2u)
+      << "no coalesce round folded two requests";
+  EXPECT_EQ(count(counters::kServeResponses) - responses0, kRequests);
+  EXPECT_EQ(count(counters::kServeQueuePushed) - pushed0, kRequests);
+  EXPECT_EQ(count(counters::kServeQueuePopped) - popped0, kRequests);
+  const HistogramSnapshot latency =
+      global_metrics().histogram(serve::lat::kRequest).snapshot().diff(
+          latency0);
+  EXPECT_EQ(latency.count, kRequests);
+  EXPECT_LE(latency.quantile_ns(0.50), 1.0e9);
+  EXPECT_LE(latency.quantile_ns(0.99), 2.0e9);
 }
 
 TEST(ServeConcurrency, DisjointWindowsAllByteIdentical) {

@@ -1,14 +1,17 @@
 // Live introspection (serve/stats.hpp): kStats v2 round-trip and
 // malformed-frame rejection, the pinned regression that every
 // serve.lat.* stage histogram records exactly once per answered
-// request, the das_ingest-style StatsListener, and a concurrency
+// request, a quiesced poll that reconciles exactly with the in-process
+// registries, the das_ingest-style StatsListener, and a concurrency
 // stress of kStats polls against a server under load (runs under the
 // TSan leg of check.sh).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -404,6 +407,106 @@ TEST(ServeStats, StageHistogramCountsEqualEndToEndCount) {
   EXPECT_EQ(hist_count(serve::lat::kCoalesce) - base_coalesce, kRequests);
   EXPECT_EQ(hist_count(serve::lat::kDecode) - base_decode, kRequests);
   EXPECT_EQ(hist_count(serve::lat::kWrite) - base_write, kRequests);
+}
+
+TEST(ServeStats, QuiescedPollReconcilesWithRegistries) {
+  // The das_top attach scenario: once the server is quiet, a kStats
+  // poll agrees exactly -- counter for counter, bucket for bucket --
+  // with the in-process registries the end-of-run telemetry export
+  // serializes.
+  TmpDir dir("serve_stats_reconcile");
+  ServedArchive archive(dir);
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kPerClient = 4;
+  constexpr std::uint64_t kRequests = kClients * kPerClient;
+  const std::array<const char*, 5> stages = {
+      serve::lat::kRequest, serve::lat::kQueueWait, serve::lat::kCoalesce,
+      serve::lat::kDecode, serve::lat::kWrite};
+  std::array<std::uint64_t, 5> base{};
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    base[i] = hist_count(stages[i]);
+  }
+
+  serve::Server server(base_config(dir, archive));
+  server.start();
+  // The accept loop counts a connection just after starting its reader,
+  // so a poller's first answer may not count the poller itself. Attach
+  // (and poll once) before the load, as das_top attaches to a live
+  // daemon, so that the count has landed by the time the load is done.
+  serve::Connection poller =
+      serve::connect_local(server.config().socket_path);
+  (void)serve::fetch_stats(poller);
+
+  const Shape2D shape = archive.reference.shape();
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      serve::Client client(server.config().socket_path);
+      for (std::size_t r = 0; r < kPerClient; ++r) {
+        const std::size_t off = ((c + r * kClients) * 16) % (shape.cols / 2);
+        const Slab2D slab{0, off, shape.rows, shape.cols / 4};
+        if (client.read_slab(slab) != archive.reference.read_slab(slab)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  // Names whose polled value disagrees with the in-process registries.
+  // stats.* moves with the polling itself, and the socket layer charges
+  // the byte counters for a stats reply after its snapshot was taken.
+  const auto disagreements = [&](const Snapshot& polled) {
+    std::vector<std::string> names;
+    const auto local_hists = global_metrics().snapshot();
+    for (const char* stage : stages) {
+      const auto p = polled.hists.find(stage);
+      const auto l = local_hists.find(stage);
+      if (p == polled.hists.end() || l == local_hists.end() ||
+          !(p->second == l->second)) {
+        names.emplace_back(stage);
+      }
+    }
+    for (const auto& [name, value] : global_counters().snapshot()) {
+      if (name.starts_with("stats.") || name == counters::kServeBytesReceived ||
+          name == counters::kServeBytesSent) {
+        continue;
+      }
+      if (!polled.counters.contains(name) || polled.counter(name) != value) {
+        names.push_back(name);
+      }
+    }
+    return names;
+  };
+  const auto landed = [&](const Snapshot& polled) {
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      const auto it = polled.hists.find(stages[i]);
+      if (it == polled.hists.end() ||
+          it->second.count - base[i] < kRequests) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // A worker records a request's histograms just after writing its
+  // reply, so poll until the server is quiet.
+  Snapshot polled = serve::fetch_stats(poller);
+  for (int spin = 0;
+       spin < 2000 && !(landed(polled) && disagreements(polled).empty());
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    polled = serve::fetch_stats(poller);
+  }
+  server.stop();
+
+  EXPECT_EQ(disagreements(polled), std::vector<std::string>{});
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    ASSERT_TRUE(polled.hists.contains(stages[i])) << stages[i];
+    EXPECT_EQ(polled.hists.at(stages[i]).count - base[i], kRequests)
+        << stages[i];
+  }
 }
 
 TEST(ServeStats, TracingOffKeepsStageHistogramsQuiet) {

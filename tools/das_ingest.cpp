@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
                           : core::EngineMode::kHybrid;
     cfg.vca_index_path = args.get("--vca-index", "");
     // Its final timeline sample carries the ingest latency histograms
-    // (ingest.file_to_detection: what bench_ingest gates p50/p99 on).
+    // (ingest.file_to_detection, one record per file).
     telemetry::TelemetryFile tlm;
     tlm.meta = {{"tool", "das_ingest"},
                 {"pipeline", "similarity"},

@@ -1,7 +1,7 @@
 // das_query: client CLI for a running das_serve daemon. Issues one
 // read over the local socket and prints a summary (or dumps the
-// payload); the load-driving multi-client counterpart lives in
-// bench/bench_serve.cpp.
+// payload); perfbench's serve_mixed workload (BENCHMARK.json) is the
+// load-driving multi-client counterpart.
 //
 // Usage:
 //   das_query --socket <path> [read selection] [--dump] [--repeat N]

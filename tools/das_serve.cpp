@@ -3,7 +3,7 @@
 // Unix-domain socket. Concurrent clients' overlapping time-window
 // reads are coalesced so N nearby requests cost ONE chunk decode
 // through the shared archive handle (serve.batch.* counters tell the
-// story; bench_serve gates on them).
+// story; ServeConcurrency.SharedDecodeHalvesPerRequestDecodes pins it).
 //
 // Usage:
 //   das_serve --socket <path> --archive <file.vca|file.dh5>
